@@ -94,8 +94,10 @@ impl Blatant {
         // the exact value also satisfies it).
         let sample_sources = 32.min(n);
         let mut waves = 0;
+        // One hop buffer for every ant walk of the build.
+        let mut hop = Vec::new();
         while topo.sampled_path_length(sample_sources, rng) > self.target_path_length * 0.95 {
-            self.construction_wave(&mut topo, n, rng);
+            self.construction_wave(&mut topo, n, rng, &mut hop);
             waves += 1;
             assert!(waves < 10_000, "overlay construction failed to converge");
         }
@@ -109,14 +111,8 @@ impl Blatant {
         let mut low: Vec<NodeId> = topo.nodes().filter(|&v| topo.degree(v) < 4).collect();
         rng.shuffle(&mut low);
         for nest in low {
-            let mut here = nest;
-            let mut prev = None;
-            for _ in 0..2 + rng.u64_range(0, 2) {
-                let next = topo.sample_neighbors(here, 1, prev, rng);
-                let Some(&next) = next.first() else { break };
-                prev = Some(here);
-                here = next;
-            }
+            let hops = 2 + rng.u64_range(0, 2);
+            let here = random_walk(&topo, nest, None, hops, rng, &mut hop);
             if here != nest && !topo.are_connected(nest, here) {
                 topo.connect(nest, here, self.latency.sample(rng));
             }
@@ -131,25 +127,24 @@ impl Blatant {
     }
 
     /// One wave of construction ants (one ant per √n nodes, at least 4).
-    fn construction_wave(&self, topo: &mut Topology, n: usize, rng: &mut SimRng) {
+    fn construction_wave(
+        &self,
+        topo: &mut Topology,
+        n: usize,
+        rng: &mut SimRng,
+        hop: &mut Vec<NodeId>,
+    ) {
         let ants = ((n as f64).sqrt() as usize).max(4); // det:allow(lossy-float-cast): floor(sqrt(n)) is exact for any grid size
         for _ in 0..ants {
-            self.construction_ant(topo, rng);
+            self.construction_ant(topo, rng, hop);
         }
     }
 
     /// A construction ant: random-walks from its nest and proposes a
     /// shortcut to where it ends up if the nest is too far away.
-    fn construction_ant(&self, topo: &mut Topology, rng: &mut SimRng) {
+    fn construction_ant(&self, topo: &mut Topology, rng: &mut SimRng, hop: &mut Vec<NodeId>) {
         let nest = NodeId::new(rng.u64_range(0, topo.len() as u64) as u32);
-        let mut here = nest;
-        let mut prev = None;
-        for _ in 0..self.walk_length {
-            let next = topo.sample_neighbors(here, 1, prev, rng);
-            let Some(&next) = next.first() else { break };
-            prev = Some(here);
-            here = next;
-        }
+        let here = random_walk(topo, nest, None, self.walk_length.into(), rng, hop);
         if here == nest || topo.are_connected(nest, here) {
             return;
         }
@@ -174,8 +169,7 @@ impl Blatant {
         if topo.degree(a) <= self.min_degree {
             return;
         }
-        let neighbors = topo.neighbors(a).to_vec();
-        let b = *rng.choose(&neighbors);
+        let b = *rng.choose(topo.neighbors(a));
         if topo.degree(b) <= self.min_degree {
             return;
         }
@@ -204,21 +198,42 @@ impl Blatant {
         topo.connect(newcomer, contact, self.latency.sample(rng));
 
         let extra_links = rng.u64_range(1, 4) as usize;
+        let mut hop = Vec::new();
         for _ in 0..extra_links {
-            let mut here = contact;
-            let mut prev = Some(newcomer);
-            for _ in 0..self.walk_length {
-                let next = topo.sample_neighbors(here, 1, prev, rng);
-                let Some(&next) = next.first() else { break };
-                prev = Some(here);
-                here = next;
-            }
+            let here =
+                random_walk(topo, contact, Some(newcomer), self.walk_length.into(), rng, &mut hop);
             if here != newcomer && !topo.are_connected(newcomer, here) {
                 topo.connect(newcomer, here, self.latency.sample(rng));
             }
         }
         newcomer
     }
+}
+
+/// An ant's non-backtracking random walk: up to `hops` steps from
+/// `start`, each to one random neighbor other than the node just left
+/// (`prev` is what the first step avoids); stops early at a dead end.
+/// Returns where the ant ends up.
+///
+/// `hop` is the caller's reusable one-element sample buffer:
+/// [`Topology::sample_neighbors_into`] draws the same random sequence as
+/// the allocating variant, so walks are bit-identical either way.
+fn random_walk(
+    topo: &Topology,
+    start: NodeId,
+    mut prev: Option<NodeId>,
+    hops: u64,
+    rng: &mut SimRng,
+    hop: &mut Vec<NodeId>,
+) -> NodeId {
+    let mut here = start;
+    for _ in 0..hops {
+        topo.sample_neighbors_into(here, 1, prev, rng, hop);
+        let Some(&next) = hop.first() else { break };
+        prev = Some(here);
+        here = next;
+    }
+    here
 }
 
 #[cfg(test)]

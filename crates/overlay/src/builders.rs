@@ -26,11 +26,24 @@ pub fn ring(n: usize, latency: &LatencyModel, rng: &mut SimRng) -> Topology {
     topo
 }
 
-/// A connected random graph where every node has degree at least `d`
-/// (degree close to `d` on average).
+/// A connected random graph of *average* degree `d`.
 ///
-/// Built as a ring (for guaranteed connectivity) plus random chords until
-/// the average degree reaches `d`.
+/// Built as a ring (for guaranteed connectivity) plus uniformly random
+/// chords until the graph holds `n·d/2` links. Despite the name the
+/// result is only regular on average: the ring guarantees every node
+/// degree ≥ 2, and chord endpoints are unconstrained, so individual
+/// degrees scatter around `d`.
+///
+/// Chords are drawn by rejection (a draw that hits a self-pair or an
+/// existing link is discarded), capped at `20·n·d` attempts so the loop
+/// always terminates. Reaching `n·d/2` links is therefore likely, not
+/// promised: for `d` close to `n` the last free pairs are found slowly
+/// (≈ `(n²/2)·ln(n²/2)` expected draws for the complete graph) and an
+/// unlucky run ends short of the target instead of spinning. At `d ≪ n`
+/// — every overlay the simulator builds — almost no draw is rejected.
+///
+/// Linear in `n·d`: the loop condition reads [`Topology::link_count`],
+/// which is O(1).
 ///
 /// # Panics
 ///
@@ -139,6 +152,26 @@ mod tests {
         assert!((t.avg_degree() - 4.0).abs() < 0.2, "avg degree {}", t.avg_degree());
         // Random graphs have logarithmic path lengths.
         assert!(t.avg_path_length() < 6.0);
+    }
+
+    #[test]
+    fn random_regular_dense_corner_yields_the_complete_graph() {
+        // d = n - 1 asks for every pair. The rejection sampler needs
+        // ~50·H(35) ≈ 210 draws for the 35 chords the ring leaves open;
+        // the cap is 20·n·d = 1800, so at this seed (and nearly every
+        // other) the build is complete rather than cut short.
+        let t = random_regular(10, 9, &LatencyModel::default(), &mut rng());
+        assert_eq!(t.link_count(), 45);
+        assert!(t.nodes().all(|n| t.degree(n) == 9));
+    }
+
+    #[test]
+    fn random_regular_only_guarantees_the_ring_degree_floor() {
+        // The average reaches `d`; individual nodes may stay below it.
+        let t = random_regular(200, 4, &LatencyModel::default(), &mut rng());
+        assert_eq!(t.link_count(), 400);
+        assert!(t.nodes().all(|n| t.degree(n) >= 2));
+        assert!(t.nodes().any(|n| t.degree(n) < 4));
     }
 
     #[test]

@@ -38,7 +38,10 @@ impl fmt::Display for NodeId {
 /// An undirected overlay network with per-link one-way latencies.
 ///
 /// Neighbor lists are kept sorted so that iteration order — and therefore
-/// every simulation run — is deterministic.
+/// every simulation run — is deterministic. The undirected link count is
+/// maintained on every real insert/remove, so [`Topology::link_count`]
+/// and [`Topology::avg_degree`] are O(1) and safe to poll from a build
+/// loop; [`Topology::validate`] recounts it.
 ///
 /// # Example
 ///
@@ -53,12 +56,28 @@ impl fmt::Display for NodeId {
 /// assert_eq!(topo.neighbors(a), [b]);
 /// assert_eq!(topo.latency(a, b), Some(SimDuration::from_millis(20)));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Topology {
     /// Sorted neighbor lists, indexed by node.
     adjacency: Vec<Vec<NodeId>>,
     /// One-way link latencies, parallel to `adjacency`.
     latencies: Vec<Vec<SimDuration>>,
+    /// Number of directed half-links, i.e. the sum of all neighbor-list
+    /// lengths (twice the undirected link count once both halves of a
+    /// `connect`/`disconnect` are in).
+    half_links: usize,
+}
+
+/// Renders the graph only: `half_links` is a function of `adjacency`, and
+/// leaving it out keeps every `{:?}`-derived state fingerprint
+/// (`World::canonical_state`) byte-identical to the pre-counter layout.
+impl fmt::Debug for Topology {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Topology")
+            .field("adjacency", &self.adjacency)
+            .field("latencies", &self.latencies)
+            .finish()
+    }
 }
 
 impl Topology {
@@ -69,7 +88,7 @@ impl Topology {
 
     /// Creates an overlay with `n` isolated nodes.
     pub fn with_nodes(n: usize) -> Self {
-        Topology { adjacency: vec![Vec::new(); n], latencies: vec![Vec::new(); n] }
+        Topology { adjacency: vec![Vec::new(); n], latencies: vec![Vec::new(); n], half_links: 0 }
     }
 
     /// Adds a new isolated node and returns its id.
@@ -118,6 +137,7 @@ impl Topology {
             Err(pos) => {
                 self.adjacency[from.index()].insert(pos, to);
                 self.latencies[from.index()].insert(pos, latency);
+                self.half_links += 1;
             }
         }
     }
@@ -141,6 +161,7 @@ impl Topology {
             Ok(pos) => {
                 self.adjacency[from.index()].remove(pos);
                 self.latencies[from.index()].remove(pos);
+                self.half_links -= 1;
                 true
             }
             Err(_) => false,
@@ -169,17 +190,86 @@ impl Topology {
         self.adjacency[node.index()].len()
     }
 
-    /// Average node degree.
+    /// Average node degree. O(1): read off the maintained link counter.
     pub fn avg_degree(&self) -> f64 {
         if self.is_empty() {
             return 0.0;
         }
-        self.adjacency.iter().map(Vec::len).sum::<usize>() as f64 / self.len() as f64
+        self.half_links as f64 / self.len() as f64
     }
 
-    /// Number of undirected links.
+    /// Number of undirected links. O(1): the counter is maintained by
+    /// `connect`/`disconnect`, so builders may poll this per attempt.
     pub fn link_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
+        self.half_links / 2
+    }
+
+    /// Audits the graph's structural invariants, returning the first
+    /// violation:
+    ///
+    /// * every neighbor list is strictly ascending (sorted, duplicate-free)
+    ///   and names only existing nodes, never the node itself;
+    /// * `latencies` is parallel to `adjacency`;
+    /// * adjacency is symmetric, with the same latency in both directions;
+    /// * the maintained link counter equals a from-scratch recount.
+    ///
+    /// Read-only. `World::try_check_invariants` calls this so that crash
+    /// and join rewiring is covered by the periodic debug audit. Cost is
+    /// `O(nodes + links · log degree)`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.latencies.len() != self.adjacency.len() {
+            return Err(format!(
+                "topology: {} latency list(s) for {} node(s)",
+                self.latencies.len(),
+                self.adjacency.len()
+            ));
+        }
+        // Shapes first, for every node: the symmetry probes below index
+        // a *neighbor's* latency list.
+        for u in self.nodes() {
+            let (neighbors, latencies) = (&self.adjacency[u.index()], &self.latencies[u.index()]);
+            if latencies.len() != neighbors.len() {
+                return Err(format!(
+                    "topology: {u} has {} neighbor(s) but {} latencies",
+                    neighbors.len(),
+                    latencies.len()
+                ));
+            }
+        }
+        let mut recount = 0usize;
+        for u in self.nodes() {
+            let (neighbors, latencies) = (&self.adjacency[u.index()], &self.latencies[u.index()]);
+            if let Some(pair) = neighbors.windows(2).find(|pair| pair[0] >= pair[1]) {
+                return Err(format!(
+                    "topology: neighbor list of {u} is not strictly ascending ({} before {})",
+                    pair[0], pair[1]
+                ));
+            }
+            for (&v, &latency) in neighbors.iter().zip(latencies) {
+                if v == u || v.index() >= self.len() {
+                    return Err(format!("topology: {u} lists invalid neighbor {v}"));
+                }
+                match self.latency(v, u) {
+                    Some(back) if back == latency => {}
+                    Some(back) => {
+                        return Err(format!(
+                            "topology: link {u}-{v} has latency {latency:?} one way and {back:?} the other"
+                        ));
+                    }
+                    None => {
+                        return Err(format!("topology: link {u}->{v} has no reverse half"));
+                    }
+                }
+            }
+            recount += neighbors.len();
+        }
+        if self.half_links != recount {
+            return Err(format!(
+                "topology: link counter holds {} half-link(s) but the adjacency lists hold {recount}",
+                self.half_links
+            ));
+        }
+        Ok(())
     }
 
     /// Up to `k` distinct random neighbors of `node`, excluding `exclude`.
@@ -439,6 +529,63 @@ mod tests {
         assert_eq!(t.link_count(), 3);
         assert!((t.avg_degree() - 1.5).abs() < 1e-12);
         assert_eq!(t.degree(NodeId(1)), 2);
+    }
+
+    #[test]
+    fn link_counter_ignores_latency_updates_and_self_links() {
+        let mut t = line(4);
+        t.connect(NodeId(0), NodeId(1), ms(99)); // latency update
+        t.connect(NodeId(2), NodeId(2), ms(1)); // self-link
+        assert!(!t.disconnect(NodeId(0), NodeId(3))); // not linked
+        assert_eq!(t.link_count(), 3);
+        assert!(t.disconnect(NodeId(1), NodeId(2)));
+        assert_eq!(t.link_count(), 2);
+        assert!((t.avg_degree() - 1.0).abs() < 1e-12);
+        assert_eq!(t.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_reports_each_structural_violation() {
+        let good = line(3);
+        assert_eq!(good.validate(), Ok(()));
+
+        let mut drifted = good.clone();
+        drifted.half_links += 1;
+        assert!(drifted.validate().unwrap_err().contains("link counter"));
+
+        let mut one_sided = good.clone();
+        one_sided.adjacency[2].clear();
+        one_sided.latencies[2].clear();
+        assert!(one_sided.validate().unwrap_err().contains("no reverse half"));
+
+        let mut lopsided = good.clone();
+        lopsided.latencies[0][0] = ms(11);
+        assert!(lopsided.validate().unwrap_err().contains("one way"));
+
+        let mut unsorted = good.clone();
+        unsorted.adjacency[1].reverse();
+        assert!(unsorted.validate().unwrap_err().contains("strictly ascending"));
+
+        // Node 1 probes node 2's list before node 2 itself is reached.
+        let mut ragged = good.clone();
+        ragged.latencies[2].pop();
+        assert!(ragged.validate().unwrap_err().contains("latencies"));
+
+        let mut dangling = good;
+        dangling.adjacency[0][0] = NodeId(7);
+        assert!(dangling.validate().unwrap_err().contains("invalid neighbor"));
+    }
+
+    #[test]
+    fn debug_rendering_shows_the_graph_only() {
+        // `World::canonical_state` fingerprints this rendering; the link
+        // counter is derived state and must not appear in it.
+        let t = line(2);
+        assert_eq!(
+            format!("{t:?}"),
+            "Topology { adjacency: [[NodeId(1)], [NodeId(0)]], \
+             latencies: [[SimDuration(10)], [SimDuration(10)]] }"
+        );
     }
 
     #[test]

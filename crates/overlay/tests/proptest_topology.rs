@@ -33,6 +33,44 @@ proptest! {
         }
     }
 
+    /// The maintained link counter tracks a from-scratch recount through
+    /// every kind of mutation: new links, latency updates on existing
+    /// links, rejected self-links, removals (hit and miss) and node
+    /// additions.
+    #[test]
+    fn link_counter_matches_recount_after_every_step(
+        n in 1usize..30,
+        ops in proptest::collection::vec((0u8..5, 0u32..64, 0u32..64, 1u64..200), 0..300),
+    ) {
+        let mut topo = Topology::with_nodes(n);
+        for (op, a, b, ms) in ops {
+            let len = topo.len() as u32;
+            let (a, b) = (NodeId::new(a % len), NodeId::new(b % len));
+            let latency = SimDuration::from_millis(ms);
+            match op {
+                0 | 1 => topo.connect(a, b, latency),
+                // Re-connect an existing link: a pure latency update.
+                2 => {
+                    if let Some(&peer) = topo.neighbors(a).first() {
+                        topo.connect(peer, a, latency);
+                    }
+                }
+                3 => {
+                    topo.disconnect(a, b);
+                }
+                _ => {
+                    topo.connect(a, a, latency);
+                    topo.add_node();
+                }
+            }
+            let half_links: usize = topo.nodes().map(|u| topo.degree(u)).sum();
+            prop_assert_eq!(topo.link_count(), half_links / 2);
+            prop_assert_eq!(half_links % 2, 0);
+            prop_assert_eq!(topo.avg_degree(), half_links as f64 / topo.len() as f64);
+            prop_assert_eq!(topo.validate(), Ok(()));
+        }
+    }
+
     /// The swarm-built overlay is always connected and within the path
     /// length bound, for any seed and reasonable size.
     #[test]

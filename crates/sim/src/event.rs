@@ -60,6 +60,14 @@ impl<E> EventQueue<E> {
         EventQueue { heap: Vec::new(), next_seq: 0, now: SimTime::ZERO, clamped: 0, peak: 0 }
     }
 
+    /// Reserves room for at least `additional` more pending events, so a
+    /// known burst of schedules (a world's per-node start-up timers) does
+    /// not regrow the heap once per doubling. Capacity only: pop order
+    /// and every observable counter are unaffected.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
     /// Restores the heap invariant upward from `pos` after a push.
     fn sift_up(&mut self, mut pos: usize) {
         while pos > 0 {
