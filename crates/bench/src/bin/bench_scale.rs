@@ -13,15 +13,12 @@
 //! process; a tier that dies or exceeds its time budget is reported as
 //! failed instead of sinking the whole run.
 //!
-//! The `--threads` axis measures parallel throughput on the mid (50k)
-//! tier along two lanes: *aggregate* — N independent worlds run
-//! concurrently on scoped threads (the `Runner::run_many` shape) — and
-//! *sharded* — one world under the latency-horizon executor
-//! (`World::run_sharded`, bit-identical to serial by construction).
-//! `--parallel` sweeps thread counts and writes `BENCH_parallel.json`.
-//! Both reports record the host's core count: on a single-core runner
-//! the speedup floor gate is informational only, because no executor
-//! can beat physics.
+//! The `--threads` axis measures *aggregate* parallel throughput on the
+//! mid (50k) tier: N independent worlds run concurrently on scoped
+//! threads (the `Runner::run_many` shape). `--parallel` sweeps thread
+//! counts and writes `BENCH_parallel.json`. Both reports record the
+//! host's core count: on a single-core runner the speedup floor gate is
+//! informational only, because threads cannot beat physics.
 //!
 //! ```text
 //! cargo run --release -p aria-bench --bin bench_scale            # all tiers -> BENCH_scale.json
@@ -202,36 +199,19 @@ fn measure_aggregate(threads: usize) -> (u64, f64) {
     (events, start.elapsed().as_secs_f64())
 }
 
-/// Sharded lane: one world under the latency-horizon executor with
-/// `threads` shards (bit-identical to serial; only wall time may move).
-fn measure_sharded(threads: usize) -> (u64, f64) {
-    let mut world = parallel_world(SEED);
-    let start = Instant::now();
-    world.run_sharded(threads);
-    (world.processed_events(), start.elapsed().as_secs_f64())
-}
-
-/// One thread-count entry of the parallel report, as a JSON line.
-fn threads_entry(threads: usize, serial_eps: f64) -> String {
+/// One thread-count entry of the parallel report: its JSON line and the
+/// aggregate speedup over the serial reference.
+fn threads_entry(threads: usize, serial_eps: f64) -> (String, f64) {
     let (agg_events, agg_secs) = measure_aggregate(threads);
     let agg_eps = agg_events as f64 / agg_secs;
-    let (shard_events, shard_secs) = measure_sharded(threads);
-    let shard_eps = shard_events as f64 / shard_secs;
-    eprintln!(
-        "bench_scale: threads {threads}: aggregate {agg_eps:.0} ev/s ({:.2}x), \
-         sharded {shard_eps:.0} ev/s ({:.2}x)",
-        agg_eps / serial_eps,
-        shard_eps / serial_eps,
-    );
-    format!(
+    let agg_speedup = agg_eps / serial_eps;
+    eprintln!("bench_scale: threads {threads}: aggregate {agg_eps:.0} ev/s ({agg_speedup:.2}x)");
+    let line = format!(
         "{{ \"threads\": {threads}, \"aggregate_events\": {agg_events}, \
          \"aggregate_wall_secs\": {agg_secs:.3}, \"aggregate_events_per_sec\": {agg_eps:.0}, \
-         \"aggregate_speedup\": {agg_speedup:.3}, \"sharded_events\": {shard_events}, \
-         \"sharded_wall_secs\": {shard_secs:.3}, \"sharded_events_per_sec\": {shard_eps:.0}, \
-         \"sharded_speedup\": {shard_speedup:.3} }}",
-        agg_speedup = agg_eps / serial_eps,
-        shard_speedup = shard_eps / serial_eps,
-    )
+         \"aggregate_speedup\": {agg_speedup:.3} }}"
+    );
+    (line, agg_speedup)
 }
 
 /// `--threads N` — the CI parallel smoke gate: serial reference plus one
@@ -248,20 +228,12 @@ fn run_threads(threads: usize, args: &[String]) {
     let (serial_events, serial_secs) = measure_serial();
     let serial_eps = serial_events as f64 / serial_secs;
     eprintln!("bench_scale: serial reference {serial_eps:.0} ev/s ({serial_events} events)");
-    let entry = threads_entry(threads, serial_eps);
+    let (entry, agg_speedup) = threads_entry(threads, serial_eps);
     println!(
         "{{ \"benchmark\": \"bench_parallel\", \"cores\": {cores}, \
          \"serial_events_per_sec\": {serial_eps:.0}, \"entry\": {entry} }}"
     );
     if let Some(floor) = flag_value(args, "--min-thread-speedup") {
-        // Re-derive the measured aggregate speedup from the entry line
-        // is needless — recompute from the parts we just printed.
-        let agg_speedup = entry
-            .split("\"aggregate_speedup\": ")
-            .nth(1)
-            .and_then(|rest| rest.split(',').next())
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .expect("own JSON carries aggregate_speedup");
         if cores < 2 {
             eprintln!(
                 "bench_scale: --min-thread-speedup {floor} not enforced on a \
@@ -293,7 +265,7 @@ fn run_parallel_driver(args: &[String]) {
     eprintln!("bench_scale: serial reference {serial_eps:.0} ev/s ({serial_events} events)");
     let entries: Vec<String> = [1usize, 2, 4]
         .iter()
-        .map(|&threads| format!("    {}", threads_entry(threads, serial_eps)))
+        .map(|&threads| format!("    {}", threads_entry(threads, serial_eps).0))
         .collect();
     let json = format!(
         "{{\n  \"benchmark\": \"bench_parallel\",\n  \"seed\": {SEED},\n  \"cores\": {cores},\n  \

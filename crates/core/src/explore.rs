@@ -260,7 +260,7 @@ impl<P: aria_probe::Probe> World<P> {
                 }
                 // The copy is a transport artifact: it pays no traffic
                 // (record_message charged the logical send already).
-                // effects:allow(deliver-choke): model-checker action replay
+                // Scheduling outside `transmit` is deliberate: action replay
                 // re-enqueues an already-transmitted delivery; this is the
                 // exploration driver, not handler code.
                 self.events.schedule(self.events.now(), Event::Deliver { to, msg });

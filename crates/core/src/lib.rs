@@ -74,25 +74,21 @@ pub mod gossip;
 pub mod config;
 mod dense;
 pub mod driver;
-pub mod effects;
 pub mod explore;
 pub mod fault;
 pub mod logic;
 pub mod msg;
 pub mod multireq;
 pub mod net;
-pub mod shard;
 mod visited;
 pub mod world;
 
 pub use central::CentralScheduler;
 pub use gossip::GossipScheduler;
 pub use config::{AriaConfig, OverlayKind, PolicyMix, ReservationPlan, WorldConfig};
-pub use effects::EffectAudit;
 pub use explore::{Action, PendingDelivery};
 pub use fault::{FaultKind, FaultPlan, FaultRecord, PartitionWindow};
 pub use msg::{FloodId, Message};
 pub use multireq::MultiRequestScheduler;
 pub use net::NetModel;
-pub use shard::HorizonContract;
 pub use world::World;

@@ -64,7 +64,7 @@ use aria_workload::{JobGenerator, ProfileGenerator, SubmissionSchedule};
 /// audit cheap while still catching corruption within 64 events of its
 /// cause. [`World::run_checked`] checks every event regardless.
 #[cfg_attr(not(debug_assertions), allow(dead_code))]
-pub(crate) const INVARIANT_STRIDE: u64 = 64;
+const INVARIANT_STRIDE: u64 = 64;
 
 /// A simulation event.
 ///
@@ -198,17 +198,6 @@ pub struct World<P: Probe = NullProbe> {
     pub(crate) fault_log: Vec<FaultRecord>,
     /// How many [`Event::PartitionStart`] windows are currently open.
     pub(crate) partitions_open: u32,
-    /// Precomputed candidate-cost quotes, keyed `(bidder, job, instant)`.
-    ///
-    /// Scratch by contract: only the sharded executor
-    /// (`crate::shard`) populates it — during a window's parallel
-    /// phase — and it is emptied again at every window barrier, so under
-    /// [`World::run`] it stays empty for the whole run. A cached quote is
-    /// bit-identical to computing it in place ([`SchedulerQueue::
-    /// cost_of_candidate`] is a pure function of queue state, which the
-    /// executor's purge rules keep unchanged between cache fill and use),
-    /// so its contents never carry simulation state.
-    pub(crate) bid_cache: std::collections::BTreeMap<(NodeId, JobId, SimTime), Cost>,
     /// The observability sink (see the struct docs); [`NullProbe`] by
     /// default, which compiles every `record` call away.
     pub(crate) probe: P,
@@ -300,7 +289,6 @@ impl<P: Probe> World<P> {
             fault_seq: 0,
             fault_log: Vec::new(),
             partitions_open: 0,
-            bid_cache: std::collections::BTreeMap::new(),
             probe,
         };
         world.metrics = MetricsCollector::new(world.config.sample_period);
@@ -458,6 +446,16 @@ impl<P: Probe> World<P> {
         #[cfg(debug_assertions)]
         self.check_invariants();
         &self.metrics
+    }
+
+    /// Forwards to [`World::run`]; the shard count is ignored.
+    ///
+    /// Exists solely because the frozen reference benchmark
+    /// (`perfbench/src/sim.rs`) still calls it after the sharded executor
+    /// was deleted (DESIGN.md §13); the `[benchmark]` PR that drops that
+    /// call removes this forwarder with it.
+    pub fn run_sharded(&mut self, _shards: usize) -> &MetricsCollector {
+        self.run()
     }
 
     /// Runs until the given instant, leaving later events pending.
@@ -1000,29 +998,6 @@ impl<P: Probe> World<P> {
         }
     }
 
-    /// The cost node `to` would quote for candidate job `job` at `now`.
-    ///
-    /// Checks the sharded executor's bid cache first: `run_sharded`
-    /// (`crate::shard`) precomputes these pure quotes in parallel for
-    /// every REQUEST/INFORM delivery pending in the current
-    /// latency-horizon window and the serial replay consumes them here.
-    /// A miss — always, under [`World::run`] — computes the quote in
-    /// place. Purity makes the two paths bit-identical; debug builds
-    /// re-derive every hit to prove it.
-    pub(crate) fn candidate_cost(&self, to: NodeId, job: JobId, spec: &JobSpec, now: SimTime) -> Cost {
-        let node = &self.nodes[to.index()];
-        if let Some(&cached) = self.bid_cache.get(&(to, job, now)) {
-            debug_assert_eq!(
-                cached,
-                node.queue.cost_of_candidate(spec, now, &node.profile),
-                "stale bid cache for node {to:?} job {job:?} at {now}: the shard executor's \
-                 purge rules missed a queue mutation"
-            );
-            return cached;
-        }
-        node.queue.cost_of_candidate(spec, now, &node.profile)
-    }
-
     /// The probe-schema kind tag of a message.
     pub(crate) fn msg_kind(msg: Message) -> MsgKind {
         match msg {
@@ -1061,7 +1036,7 @@ impl<P: Probe> World<P> {
                 let node = &self.nodes[to.index()];
                 let bids = Self::node_can_bid(node, &spec);
                 if bids {
-                    let cost = self.candidate_cost(to, job, &spec, now);
+                    let cost = node.queue.cost_of_candidate(&spec, now, &node.profile);
                     self.probe.record(
                         now,
                         ProbeEvent::BidSent {
@@ -1101,7 +1076,7 @@ impl<P: Probe> World<P> {
                 let node = &self.nodes[to.index()];
                 let bids = Self::node_can_bid(node, &spec);
                 if bids {
-                    let my_cost = self.candidate_cost(to, job, &spec, now);
+                    let my_cost = node.queue.cost_of_candidate(&spec, now, &node.profile);
                     if logic::undercuts(my_cost, cost, self.config.aria.reschedule_threshold) {
                         self.probe.record(
                             now,
@@ -1711,11 +1686,10 @@ impl<P: Probe> World<P> {
     /// still transmitted (§V-E counts logical messages), and a duplicate
     /// is transport-level noise, not an extra protocol message.
     ///
-    /// effects:choke-point(deliver) — this is the only place handler
-    /// code may schedule [`Event::Deliver`]: every cross-node effect
-    /// funnels through here, which is what lets the effect-map analyzer
-    /// (`cargo xtask effects`, DESIGN.md §13) prove handlers touch
-    /// non-local node state only via explicit transmit edges.
+    /// This is the only place handler code may schedule
+    /// [`Event::Deliver`]: every cross-node effect funnels through here,
+    /// so the fault layer sees each message exactly once and handlers
+    /// touch non-local node state only via explicit transmit edges.
     fn transmit(&mut self, now: SimTime, from: NodeId, to: NodeId, msg: Message, latency: SimDuration) {
         if !self.fault_active {
             self.events.schedule(now + latency, Event::Deliver { to, msg });

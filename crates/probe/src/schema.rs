@@ -312,45 +312,6 @@ pub fn to_jsonl(trace: &Trace) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Effect-audit export (DESIGN.md §13)
-// ---------------------------------------------------------------------
-
-/// Identifies an effect-audit export (the runtime half of
-/// `cargo xtask effects`) in its header line.
-pub const EFFECT_AUDIT_SCHEMA: &str = "aria-effect-audit";
-
-/// Current effect-audit schema version.
-pub const EFFECT_AUDIT_VERSION: u64 = 1;
-
-/// The header line of an effect-audit JSONL export.
-pub fn effect_audit_header(events: u64) -> String {
-    format!(
-        "{{\"schema\":\"{EFFECT_AUDIT_SCHEMA}\",\"version\":{EFFECT_AUDIT_VERSION},\
-         \"events\":{events}}}"
-    )
-}
-
-/// One effect-audit line: a handler and the effect classes it was
-/// observed writing. Handler and class names are kebab-case idents, so
-/// no JSON escaping is needed.
-pub fn effect_audit_line(handler: &str, classes: &[&str]) -> String {
-    let mut out = String::with_capacity(48 + 16 * classes.len());
-    out.push_str("{\"handler\":\"");
-    out.push_str(handler);
-    out.push_str("\",\"writes\":[");
-    for (i, class) in classes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(class);
-        out.push('"');
-    }
-    out.push_str("]}");
-    out
-}
-
-// ---------------------------------------------------------------------
 // Parsing
 // ---------------------------------------------------------------------
 

@@ -175,17 +175,6 @@ impl ScenarioResult {
 
 /// Executes scenarios across seeds.
 ///
-/// Which event loop a `run_once*` call drives the world with. Both
-/// executors produce bit-for-bit identical trajectories; the choice
-/// only affects wall time.
-#[derive(Debug, Clone, Copy)]
-enum Exec {
-    /// [`World::run`] (or [`World::run_checked`] under `checked`).
-    Serial { checked: bool },
-    /// [`World::run_sharded`] with this shard count.
-    Sharded { shards: usize },
-}
-
 /// At paper scale each run simulates 500-700 nodes for 41h40m of grid
 /// time; [`Runner::scaled`] provides a shrunken variant for tests,
 /// examples and quick iterations.
@@ -312,62 +301,15 @@ impl Runner {
         checked: bool,
         probe: P,
     ) -> (RunStats, World<P>) {
-        self.run_once_exec(scenario, seed, fault, Exec::Serial { checked }, probe)
-    }
-
-    /// Like [`Runner::run_once_traced`], but drives the world with the
-    /// latency-horizon sharded executor ([`World::run_sharded`]) instead
-    /// of the serial event loop. The two produce bit-for-bit identical
-    /// trajectories, so the exported traces must be `probe diff`-equal —
-    /// CI uses exactly that comparison as the sharded determinism gate.
-    pub fn run_once_traced_sharded(
-        &self,
-        scenario: Scenario,
-        seed: u64,
-        shards: usize,
-    ) -> (RunStats, Trace) {
-        let (stats, world) = self.run_once_exec(
-            scenario,
-            seed,
-            aria_core::FaultPlan::none(),
-            Exec::Sharded { shards },
-            RingRecorder::default(),
-        );
-        let meta = TraceMeta {
-            scenario: scenario.to_string(),
-            seed,
-            nodes: world.config().nodes as u64,
-            jobs: self.schedule_for(scenario).count() as u64,
-        };
-        (stats, world.into_probe().into_trace(meta))
-    }
-
-    /// The shared run core behind every `run_once*` flavour: builds the
-    /// world, drives it with the selected executor, and collects the
-    /// statistics.
-    fn run_once_exec<P: Probe>(
-        &self,
-        scenario: Scenario,
-        seed: u64,
-        fault: aria_core::FaultPlan,
-        exec: Exec,
-        probe: P,
-    ) -> (RunStats, World<P>) {
         let mut world = self.build_world(scenario, seed, fault, probe);
         // Timing the loop from outside is pure observability: the
         // reading is reported, never fed back into the simulation.
         #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
         let start = std::time::Instant::now(); // det:allow(wall-clock): observability-only timing around the run
-        match exec {
-            Exec::Serial { checked: true } => {
-                world.run_checked();
-            }
-            Exec::Serial { checked: false } => {
-                world.run();
-            }
-            Exec::Sharded { shards } => {
-                world.run_sharded(shards);
-            }
+        if checked {
+            world.run_checked();
+        } else {
+            world.run();
         }
         let wall_time_secs = start.elapsed().as_secs_f64();
 
@@ -401,15 +343,9 @@ impl Runner {
     /// Builds — but does not run — the exact world one `(scenario,
     /// seed)` run executes: the scenario's config under this runner's
     /// scale overrides, with the given fault plan and probe attached
-    /// and the scenario's workload already scheduled.
-    ///
-    /// Every `run_once*` entry point goes through here, so a caller
-    /// that needs a different run loop (the effect-tracer audit of
-    /// `cargo xtask effects --audit` and `tests/effects_map.rs`
-    /// replaying the determinism goldens under
-    /// [`World::run_effect_traced`]) is guaranteed to drive a
-    /// bit-identical world.
-    pub fn build_world<P: Probe>(
+    /// and the scenario's workload already scheduled. Every `run_once*`
+    /// entry point goes through here.
+    fn build_world<P: Probe>(
         &self,
         scenario: Scenario,
         seed: u64,
@@ -453,11 +389,12 @@ impl Runner {
 
         let mut by_scenario: BTreeMap<usize, Vec<RunStats>> = BTreeMap::new();
         // Worker threads draw permits from the process-wide budget
-        // (`aria_sim::pool`), shared with the shard executor, so
-        // concurrent runners times shards never exceeds the core count.
-        // A zero grant — budget exhausted, or a single pair — runs the
-        // pairs serially on this thread; results are identical either
-        // way, only wall-clock time changes.
+        // (`aria_sim::pool`), shared with every other `run_many` caller
+        // in the process (parallel tests) and with `xtask explore`/
+        // `chaos` workers, so concurrent fan-outs together never exceed
+        // the core count. A zero grant — budget exhausted, or a single
+        // pair — runs the pairs serially on this thread; results are
+        // identical either way, only wall-clock time changes.
         let reservation = if self.workers <= 1 || pairs.len() <= 1 {
             aria_sim::pool::reserve(0)
         } else {

@@ -133,15 +133,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event together with its timestamp,
     /// advancing the queue clock, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(at, _, event)| (at, event))
-    }
-
-    /// Like [`EventQueue::pop`] but also exposing the popped event's FIFO
-    /// sequence number. Drivers that audit delivery use the number to
-    /// tell pre-existing events from freshly scheduled ones — the sharded
-    /// executor checks every in-window delivery against the sequence
-    /// boundary captured at the window barrier.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         if self.heap.is_empty() {
             return None;
         }
@@ -150,15 +141,7 @@ impl<E> EventQueue<E> {
             self.sift_down(0);
         }
         self.now = entry.at;
-        Some((entry.at, entry.seq, entry.event))
-    }
-
-    /// The sequence number the next [`EventQueue::schedule`] call will
-    /// assign. Every currently pending event carries a smaller number, so
-    /// this is the boundary between "was pending at this instant" and
-    /// "scheduled afterwards".
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
+        Some((entry.at, entry.event))
     }
 
     /// The timestamp of the next event without removing it.
@@ -224,25 +207,6 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::pop`] would deliver them.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
         self.heap.iter().map(|e| (e.at, e.seq, &e.event))
-    }
-
-    /// Visits every pending entry scheduled strictly before `bound`, in
-    /// unspecified order. The traversal prunes on the heap property —
-    /// an entry at or past the bound cannot have an earlier descendant —
-    /// so the cost is O(matches · arity), not O(pending). This is what
-    /// keeps the sharded executor's per-window snapshot linear in the
-    /// window's own events rather than in the whole queue.
-    pub fn entries_before(&self, bound: SimTime, mut visit: impl FnMut(SimTime, u64, &E)) {
-        let mut stack = if self.heap.is_empty() { Vec::new() } else { vec![0usize] };
-        while let Some(i) = stack.pop() {
-            let entry = &self.heap[i];
-            if entry.at >= bound {
-                continue;
-            }
-            visit(entry.at, entry.seq, &entry.event);
-            let first = ARITY * i + 1;
-            stack.extend(first..(first + ARITY).min(self.heap.len()));
-        }
     }
 
     /// Iterates over every pending event in unspecified (heap) order.
@@ -510,43 +474,6 @@ mod tests {
         assert_eq!(seen.len(), 2);
         assert!(seen[0].1 < seen[1].1, "seq must break the tie");
         assert_eq!((seen[0].2, seen[1].2), ('a', 'b'));
-    }
-
-    #[test]
-    fn pop_entry_exposes_the_seq_boundary() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(1), 'a');
-        q.schedule(SimTime::from_secs(1), 'b');
-        let boundary = q.next_seq();
-        assert_eq!(boundary, 2);
-        let (_, seq_a, a) = q.pop_entry().unwrap();
-        assert_eq!((seq_a, a), (0, 'a'));
-        // An event scheduled after the boundary capture gets a number at
-        // or above it — the property the sharded window audit relies on.
-        q.schedule(SimTime::from_secs(2), 'c');
-        q.pop_entry().unwrap();
-        let (_, seq_c, c) = q.pop_entry().unwrap();
-        assert_eq!(c, 'c');
-        assert!(seq_c >= boundary);
-    }
-
-    #[test]
-    fn entries_before_matches_a_full_filtered_scan() {
-        let mut q = EventQueue::new();
-        // Pseudo-shuffled times, so pruning has to cut real subtrees.
-        for i in 0..200u64 {
-            q.schedule(SimTime::from_millis(997 * i % 400), i);
-        }
-        for bound_ms in [0u64, 1, 150, 399, 400, 10_000] {
-            let bound = SimTime::from_millis(bound_ms);
-            let mut pruned: Vec<(SimTime, u64, u64)> = Vec::new();
-            q.entries_before(bound, |at, seq, &e| pruned.push((at, seq, e)));
-            let mut full: Vec<(SimTime, u64, u64)> =
-                q.entries().filter(|&(at, _, _)| at < bound).map(|(a, s, &e)| (a, s, e)).collect();
-            pruned.sort_unstable();
-            full.sort_unstable();
-            assert_eq!(pruned, full, "bound {bound_ms}ms");
-        }
     }
 
     #[test]

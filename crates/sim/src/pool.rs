@@ -1,11 +1,13 @@
 //! Shared bounded worker-permit pool.
 //!
 //! Every parallel surface in the workspace — the multi-seed scenario
-//! [`Runner`](../../scenarios), the sharded deterministic executor in
-//! `aria_core::shard`, the explorer's frontier fan-out — draws its
-//! worker threads from one process-wide budget sized to the machine's
-//! core count. Without a shared budget, nested parallelism multiplies:
-//! N scenario workers each running an M-shard world would put N×M
+//! runner (`aria_scenarios::Runner::run_many`), the model checker's
+//! frontier fan-out (`cargo xtask explore --workers`) and the chaos
+//! campaign (`cargo xtask chaos --workers`) — draws its worker threads
+//! from one process-wide budget sized to the machine's core count.
+//! Without a shared budget, concurrent callers multiply: `cargo test`
+//! runs tests on parallel threads and several of them call `run_many`,
+//! so N callers each spawning a core count of workers would put N×cores
 //! threads on the scheduler, and oversubscription turns a speedup into
 //! context-switch thrash.
 //!
@@ -16,11 +18,12 @@
 //! and returns the permits when the reservation drops. The calling
 //! thread itself is never counted: it is already scheduled.
 //!
-//! [`reserve`] never blocks. Blocking would deadlock the nested case
-//! (a runner worker reserving shard permits while the runner holds the
-//! rest), and determinism never depends on the grant anyway: each
-//! consumer produces bit-identical results at any worker count,
-//! including zero. The budget only shapes wall-clock time.
+//! [`reserve`] never blocks. Blocking would make one caller's progress
+//! depend on when another releases its permits — and deadlock outright
+//! if a worker ever reserved while its spawner held the rest — and
+//! determinism never depends on the grant anyway: each consumer
+//! produces bit-identical results at any worker count, including zero.
+//! The budget only shapes wall-clock time.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -69,9 +72,10 @@ impl Drop for Reservation {
 /// Reserves up to `want` worker permits from the shared budget.
 ///
 /// Returns immediately with a grant of `min(want, available)`; never
-/// blocks, so nested reservations (scenario runner → shard executor)
-/// cannot deadlock. A zero grant means the budget is exhausted and the
-/// caller should fall back to running serially.
+/// blocks, so concurrent callers (`Runner::run_many` from parallel
+/// tests, `xtask explore`/`chaos` workers) never wait on each other. A
+/// zero grant means the budget is exhausted and the caller should fall
+/// back to running serially.
 pub fn reserve(want: usize) -> Reservation {
     if want == 0 {
         return Reservation { granted: 0 };
@@ -85,14 +89,24 @@ pub fn reserve(want: usize) -> Reservation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::MutexGuard;
 
-    // The tests share one process-global budget, so each exercises only
-    // relative behaviour (what it took comes back) rather than absolute
-    // availability, keeping them order-independent under parallel `cargo
-    // test`.
+    // The tests share one process-global budget and `cargo test` runs
+    // them on parallel threads, so each test that takes permits holds
+    // this lock: an assertion about what is left after "reserve
+    // everything" would otherwise race with a neighbour returning its
+    // permits.
+    static EXCLUSIVE: Mutex<()> = Mutex::new(());
+
+    fn exclusive() -> MutexGuard<'static, ()> {
+        // A neighbour that failed while holding the lock left no state
+        // behind (its reservations dropped during unwinding).
+        EXCLUSIVE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn grant_is_bounded_by_request() {
+        let _guard = exclusive();
         let r = reserve(1);
         assert!(r.workers() <= 1);
     }
@@ -105,6 +119,7 @@ mod tests {
 
     #[test]
     fn dropping_a_reservation_returns_its_permits() {
+        let _guard = exclusive();
         let first = reserve(usize::MAX);
         let taken = first.workers();
         // Everything is reserved now; a second request gets nothing.
@@ -117,11 +132,27 @@ mod tests {
 
     #[test]
     fn budget_never_goes_negative() {
+        let _guard = exclusive();
         let a = reserve(2);
         let b = reserve(usize::MAX);
         let c = reserve(usize::MAX);
         assert_eq!(c.workers(), 0);
         drop(a);
         drop(b);
+    }
+
+    #[test]
+    fn nested_reserve_under_an_exhausted_budget_runs_serial_without_blocking() {
+        let _guard = exclusive();
+        // The nesting contract: a caller holds every permit while one of
+        // its worker threads asks for more. The inner call must come
+        // back at once with a zero grant ("run serial"); were it to wait
+        // for permits, the join below would never return.
+        let outer = reserve(usize::MAX);
+        let inner = std::thread::scope(|scope| {
+            scope.spawn(|| reserve(usize::MAX).workers()).join().expect("worker panicked")
+        });
+        assert_eq!(inner, 0);
+        drop(outer);
     }
 }

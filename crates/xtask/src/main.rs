@@ -1,6 +1,6 @@
 //! Workspace automation (`cargo xtask <command>`).
 //!
-//! Five commands:
+//! Four commands:
 //!
 //! * `lint` — the determinism & protocol-hygiene gate described in
 //!   DESIGN.md §8. It walks the sim-reachable sources with a
@@ -8,20 +8,6 @@
 //!   `syn`), applies the rules in [`rules`], checks every crate root for
 //!   the mandatory hygiene attributes, and exits non-zero with
 //!   `file:line` diagnostics on any violation.
-//! * `effects` — the effect-map analyzer described in DESIGN.md §13: a
-//!   method-level pass over the `World` handler call graph that
-//!   classifies every `self.<field>` access into effect classes,
-//!   enforces the parallel-safety rules (transmit choke point, forked
-//!   RNG stream ownership, no handler-reachable unordered containers),
-//!   and emits the committed `EFFECTS.json` the sharded runner will be
-//!   built along (see [`effects`]).
-//! * `horizon` — the latency-horizon analyzer described in DESIGN.md
-//!   §14: proves every cross-node event flows through `World::transmit`
-//!   with a delay bounded below by the link-latency floor, classifies
-//!   every event variant as cross-node / shard-local / global against
-//!   the `EFFECTS.json` partition, and commits `HORIZON.json` — the
-//!   contract the sharded deterministic runner (`aria_core::shard`)
-//!   loads and revalidates at runtime (see [`horizon`]).
 //! * `explore` — bounded exhaustive exploration of the ARiA message
 //!   state machine over every delivery ordering of a small world (see
 //!   [`explore`] and `crates/model`).
@@ -37,13 +23,6 @@
 //! cargo xtask lint                  # gate the workspace
 //! cargo xtask lint --self-check     # prove the gate still catches seeded violations
 //! cargo xtask lint --list           # print the files the gate scans
-//! cargo xtask effects               # regenerate EFFECTS.json + summary
-//! cargo xtask effects --check       # diff regeneration against the committed map
-//! cargo xtask effects --self-check  # prove the analyzer catches planted violations
-//! cargo xtask effects --audit       # runtime tracer: observed ⊆ static on goldens
-//! cargo xtask horizon               # regenerate HORIZON.json + summary
-//! cargo xtask horizon --check       # diff regeneration against the committed contract
-//! cargo xtask horizon --self-check  # prove the analyzer catches planted violations
 //! cargo xtask explore --nodes 4     # enumerate a 4-node world's orderings
 //! cargo xtask explore --self-check  # prove the checker still catches violations
 //! cargo xtask probe run --scenario iMixed --scale 40 80 --out t.jsonl
@@ -56,9 +35,7 @@
 #![deny(rust_2018_idioms)]
 
 mod chaos;
-mod effects;
 mod explore;
-mod horizon;
 mod probe;
 mod rules;
 mod scan;
@@ -87,15 +64,12 @@ fn main() -> ExitCode {
                 lint(&workspace_root())
             }
         }
-        Some("effects") => effects::run(&args[1..]),
-        Some("horizon") => horizon::run(&args[1..]),
         Some("explore") => explore::run(&args[1..]),
         Some("probe") => probe::run(&args[1..]),
         Some("chaos") => chaos::run(&args[1..]),
         _ => {
             eprintln!(
                 "usage: cargo xtask <lint [--self-check|--list] \
-                 | effects [--check|--self-check|--audit] | horizon [--check|--self-check] \
                  | explore [flags] | probe <cmd> | chaos [flags]>"
             );
             ExitCode::FAILURE

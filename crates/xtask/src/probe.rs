@@ -18,7 +18,7 @@ use aria_scenarios::{Runner, Scenario};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo xtask probe <run|timeline|summary|diff> ...
-  run      --scenario NAME [--seed N] [--scale NODES JOBS] [--shards N] [--out PATH]
+  run      --scenario NAME [--seed N] [--scale NODES JOBS] [--out PATH]
   timeline TRACE.jsonl [--job N]
   summary  TRACE.jsonl
   diff     LEFT.jsonl RIGHT.jsonl";
@@ -53,15 +53,10 @@ fn load(path: &str) -> Result<aria_probe::Trace, String> {
 /// `probe run` — executes one probed scenario run, writes the trace as
 /// JSONL, and prints a BENCH_core.json-style stats block (wall time,
 /// processed events, events/second) to stdout.
-///
-/// `--shards N` drives the world with the latency-horizon sharded
-/// executor instead of the serial loop; the exported trace must be
-/// `probe diff`-identical to the serial one (CI's sharded gate).
 fn run_scenario(args: &[String]) -> ExitCode {
     let mut scenario = Scenario::IMixed;
     let mut seed = 1u64;
     let mut scale: Option<(usize, usize)> = None;
-    let mut shards: Option<usize> = None;
     let mut out: Option<String> = None;
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
@@ -89,14 +84,6 @@ fn run_scenario(args: &[String]) -> ExitCode {
                     _ => return fail(&format!("--scale {n} {j}: not integers")),
                 }
             }
-            "--shards" => {
-                let Some(v) = iter.next() else { return fail("--shards needs a value") };
-                match v.parse::<usize>() {
-                    Ok(v) if v >= 1 => shards = Some(v),
-                    Ok(_) => return fail("--shards needs at least 1"),
-                    Err(error) => return fail(&format!("--shards {v}: {error}")),
-                }
-            }
             "--out" => {
                 let Some(path) = iter.next() else { return fail("--out needs a path") };
                 out = Some(path.clone());
@@ -108,10 +95,7 @@ fn run_scenario(args: &[String]) -> ExitCode {
         Some((nodes, jobs)) => Runner::scaled(nodes, jobs),
         None => Runner::paper(),
     };
-    let (stats, trace) = match shards {
-        Some(shards) => runner.run_once_traced_sharded(scenario, seed, shards),
-        None => runner.run_once_traced(scenario, seed),
-    };
+    let (stats, trace) = runner.run_once_traced(scenario, seed);
     if let Err(error) = schema::validate(&trace) {
         eprintln!("xtask probe run: exported trace fails its own schema: {error}");
         return ExitCode::FAILURE;

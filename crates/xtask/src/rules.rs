@@ -43,19 +43,11 @@ struct Rule {
     why: &'static str,
 }
 
-/// Randomized-layout collection patterns. Shared with the effect-map
-/// analyzer ([`crate::effects`]), whose handler-reachability rule
-/// re-applies them to `World` handler closures *without* honoring
-/// `det:allow` escapes — an allowlisted map elsewhere in a file must not
-/// leak into the parallel-safety-critical handler code.
-pub const HASH_PATTERNS: &[&str] =
-    &["HashMap", "HashSet", "hash_map", "hash_set", "DefaultHasher", "RandomState"];
-
 /// The determinism rules applied to sim-reachable sources.
 const RULES: &[Rule] = &[
     Rule {
         name: "hash-collections",
-        patterns: HASH_PATTERNS,
+        patterns: &["HashMap", "HashSet", "hash_map", "hash_set", "DefaultHasher", "RandomState"],
         why: "randomized-layout collection: iteration order varies per process; \
               use BTreeMap/BTreeSet (or a dense Vec table) so seeded runs replay bit-for-bit",
     },
@@ -75,8 +67,7 @@ const RULES: &[Rule] = &[
         patterns: &["thread::spawn", "ThreadPool", "threadpool", "rayon"],
         why: "ambient threading: free-running threads and global pools make scheduling \
               nondeterministic and oversubscribe cores; use scoped threads (std::thread::scope) \
-              drawing worker permits from aria_sim::pool, as the multi-seed runner and the \
-              shard executor do",
+              drawing worker permits from aria_sim::pool, as the multi-seed runner does",
     },
     Rule {
         name: "io-purity",

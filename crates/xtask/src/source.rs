@@ -1,11 +1,6 @@
-//! Shared source-walking and expression-scan machinery.
-//!
-//! Both static passes — the determinism lint (`cargo xtask lint`,
-//! [`crate::rules`]) and the effect-map analyzer (`cargo xtask effects`,
-//! [`crate::effects`]) — walk the same sim-reachable file set and lean on
-//! the same balanced-bracket expression scan. This module is the single
-//! home for both, so the two gates can never drift apart on *what* they
-//! scan or *how* they recover an expression.
+//! Source-walking and expression-scan machinery for the determinism
+//! lint (`cargo xtask lint`, [`crate::rules`]): which files the gate
+//! scans, and how it recovers the expression to the left of a cast.
 
 use std::path::{Path, PathBuf};
 
@@ -69,16 +64,6 @@ pub fn sim_reachable_sources(root: &Path) -> Vec<PathBuf> {
     files
 }
 
-/// The `src/` sources of one workspace crate, in sorted order (the
-/// effect-map analyzer scans crate impls only — integration tests under
-/// `tests/` drive worlds, they do not define handler code).
-pub fn crate_sources(root: &Path, name: &str) -> Vec<PathBuf> {
-    let mut files = Vec::new();
-    collect_rs(&root.join("crates").join(name).join("src"), &mut files);
-    files.sort();
-    files
-}
-
 /// The crate-root source of every workspace member (crates/* and
 /// vendor/*), in sorted order.
 pub fn crate_roots(root: &Path) -> Vec<PathBuf> {
@@ -124,9 +109,7 @@ pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 /// at a top-level `;`, `,`, `=` or an unmatched opening bracket.
 ///
 /// This is how the lossy-cast rule recovers `(q * len as f64).ceil()`
-/// from `… as usize`, and how the effects pass bounds field-access
-/// chains; both gates share the exact same notion of "the expression to
-/// the left".
+/// from `… as usize`.
 pub fn expr_start(code: &str, at: usize) -> usize {
     let bytes = code.as_bytes();
     let mut depth = 0i32;
@@ -143,30 +126,6 @@ pub fn expr_start(code: &str, at: usize) -> usize {
         start -= 1;
     }
     start
-}
-
-/// Advances past a balanced bracket group: `open` is the byte offset of
-/// an opening `(`, `[` or `{` in `code`; returns the offset just past
-/// its matching close (or `code.len()` if unbalanced). Counts all three
-/// bracket kinds together, which is sound on the blanked code channel
-/// (string/char contents are spaces, comments are gone).
-pub fn skip_balanced(code: &[u8], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < code.len() {
-        match code[i] {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    code.len()
 }
 
 /// The crate directories actually present under `crates/`, sorted —
@@ -252,12 +211,5 @@ mod tests {
         let code = "f(a, (b + c).exp() as u32)";
         let at = code.find(" as ").unwrap();
         assert_eq!(&code[expr_start(code, at)..at], " (b + c).exp()");
-    }
-
-    #[test]
-    fn skip_balanced_crosses_nested_groups() {
-        let code = b"foo(bar(1, [2, 3]), baz).tail";
-        let end = skip_balanced(code, 3);
-        assert_eq!(&code[end..], b".tail");
     }
 }
