@@ -1326,38 +1326,16 @@ impl NodeDriver {
 mod tests {
     use super::*;
     use aria_grid::{Architecture, JobRequirements, OperatingSystem, PerfIndex};
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
+    use aria_sim::EventQueue;
 
-    /// A queued cluster event, min-ordered by (time, sequence).
+    /// A queued cluster event; the queue orders it by (time, sequence).
     struct Ev {
-        at: SimTime,
-        seq: u64,
         node: usize,
         /// Process-incarnation stamp: events queued for an earlier
         /// incarnation of `node` are dropped (a SIGKILL loses timers
         /// and in-flight datagrams alike).
         epoch: u32,
         input: Input,
-    }
-
-    impl PartialEq for Ev {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-    impl Eq for Ev {}
-    impl PartialOrd for Ev {
-        // det:allow(float-ord): delegates to Ord over (SimTime, u64) integer keys
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Ev {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: BinaryHeap is a max-heap, we pop earliest first.
-            (other.at, other.seq).cmp(&(self.at, self.seq))
-        }
     }
 
     fn profile(perf: f64) -> NodeProfile {
@@ -1390,8 +1368,7 @@ mod tests {
     /// loopback test then runs over real UDP.
     struct Cluster {
         drivers: Vec<NodeDriver>,
-        queue: BinaryHeap<Ev>,
-        seq: u64,
+        queue: EventQueue<Ev>,
         now: SimTime,
         /// Process liveness per node: a killed node receives nothing and
         /// fires no timers until restarted.
@@ -1419,8 +1396,7 @@ mod tests {
             let drivers = (0..n).map(|i| Self::make_driver(n, i, cfg, 1000 + u64::from(i))).collect();
             Cluster {
                 drivers,
-                queue: BinaryHeap::new(),
-                seq: 0,
+                queue: EventQueue::new(),
                 now: SimTime::ZERO,
                 alive: vec![true; n as usize],
                 epoch: vec![0; n as usize],
@@ -1456,8 +1432,7 @@ mod tests {
         }
 
         fn push(&mut self, at: SimTime, node: usize, input: Input) {
-            self.queue.push(Ev { at, seq: self.seq, node, epoch: self.epoch[node], input });
-            self.seq += 1;
+            self.queue.schedule(at, Ev { node, epoch: self.epoch[node], input });
         }
 
         fn submit(&mut self, at: SimTime, node: u32, spec: JobSpec) {
@@ -1552,8 +1527,7 @@ mod tests {
         /// dead process, or to a node that restarted since they were
         /// queued, are dropped.
         fn run(&mut self, horizon: SimTime) {
-            while self.queue.peek().is_some_and(|ev| ev.at <= horizon) {
-                let Ev { at, node, epoch, input, .. } = self.queue.pop().expect("peeked");
+            while let Some((at, Ev { node, epoch, input })) = self.queue.pop_due(horizon) {
                 if !self.alive[node] || self.epoch[node] != epoch {
                     continue;
                 }

@@ -460,8 +460,7 @@ impl<P: Probe> World<P> {
 
     /// Runs until the given instant, leaving later events pending.
     pub fn run_until(&mut self, deadline: SimTime) -> &MetricsCollector {
-        while self.events.peek_time().is_some_and(|t| t <= deadline) {
-            let (now, event) = self.events.pop().expect("peeked event exists");
+        while let Some((now, event)) = self.events.pop_due(deadline) {
             self.processed += 1;
             self.handle(now, event);
             #[cfg(debug_assertions)]
@@ -645,6 +644,12 @@ impl<P: Probe> World<P> {
             self.nodes.len()
         );
         self.topology.validate().map_err(|violation| format!("invariant: {violation}"))?;
+
+        // Event-queue integrity: the radix lists, their masks and the
+        // slot free list must describe one consistent pending set.
+        self.events
+            .validate()
+            .map_err(|violation| format!("invariant: event queue: {violation}"))?;
 
         // Pending-event census: per-flood in-flight counts, open accept
         // windows, and jobs kept alive by an in-flight event.

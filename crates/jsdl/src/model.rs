@@ -5,7 +5,7 @@ use crate::xml::{self, Element, XmlError};
 use aria_grid::{Architecture, JobId, JobRequirements, JobSpec, OperatingSystem};
 use aria_sim::{SimDuration, SimTime};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Errors raised when reading or converting a JSDL document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,11 +92,11 @@ impl JobDefinition {
 
         let arch_name = resources
             .descend(&["CPUArchitecture", "CPUArchitectureName"])
-            .map(|e| e.text.as_str())
+            .map(|e| e.text.as_ref())
             .ok_or_else(|| JsdlError::Structure("missing <CPUArchitectureName>".into()))?;
         let os_name = resources
             .descend(&["OperatingSystem", "OperatingSystemType", "OperatingSystemName"])
-            .map(|e| e.text.as_str())
+            .map(|e| e.text.as_ref())
             .ok_or_else(|| JsdlError::Structure("missing <OperatingSystemName>".into()))?;
 
         let ert_secs = description
@@ -116,8 +116,8 @@ impl JobDefinition {
         Ok(JobDefinition {
             name: description
                 .descend(&["JobIdentification", "JobName"])
-                .map(|e| e.text.clone())
-                .filter(|t| !t.is_empty()),
+                .filter(|e| !e.text.is_empty())
+                .map(|e| e.text.to_string()),
             arch: parse_architecture(arch_name)?,
             os: parse_operating_system(os_name)?,
             min_memory_bytes: lower_bound(resources, "TotalPhysicalMemory")?,
@@ -176,60 +176,51 @@ impl JobDefinition {
     ///
     /// The output round-trips through [`JobDefinition::parse`].
     pub fn to_xml(&self) -> String {
-        let mut out = String::new();
-        out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-        out.push_str(
-            "<jsdl:JobDefinition xmlns:jsdl=\"http://schemas.ggf.org/jsdl/2005/11/jsdl\" \
-             xmlns:aria=\"urn:aria:extensions:1\">\n",
-        );
-        out.push_str("  <jsdl:JobDescription>\n");
         // Written in canonical form (trimmed, blank elided) so that any
         // hand-built definition still round-trips through `parse`.
-        if let Some(name) = self.name.as_deref().map(str::trim).filter(|n| !n.is_empty()) {
-            out.push_str("    <jsdl:JobIdentification>\n");
-            out.push_str(&format!(
-                "      <jsdl:JobName>{}</jsdl:JobName>\n",
-                xml::escape(name)
-            ));
-            out.push_str("    </jsdl:JobIdentification>\n");
+        let name = self.name.as_deref().map(str::trim).filter(|n| !n.is_empty());
+        // The fixed markup is ~860 bytes; the rest is four numbers, two
+        // short enum names and the job name, whose escapes at most
+        // sextuple it. One allocation for any realistic document.
+        let mut out = String::with_capacity(1024 + name.map_or(0, |n| 6 * n.len()));
+        out.push_str(
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n\
+             <jsdl:JobDefinition xmlns:jsdl=\"http://schemas.ggf.org/jsdl/2005/11/jsdl\" \
+             xmlns:aria=\"urn:aria:extensions:1\">\n  \
+             <jsdl:JobDescription>\n",
+        );
+        if let Some(name) = name {
+            out.push_str("    <jsdl:JobIdentification>\n      <jsdl:JobName>");
+            xml::escape_into(name, &mut out);
+            out.push_str("</jsdl:JobName>\n    </jsdl:JobIdentification>\n");
         }
-        out.push_str("    <jsdl:Resources>\n");
-        out.push_str(&format!(
-            "      <jsdl:CPUArchitecture><jsdl:CPUArchitectureName>{}</jsdl:CPUArchitectureName></jsdl:CPUArchitecture>\n",
-            architecture_name(self.arch)
-        ));
-        out.push_str(&format!(
-            "      <jsdl:OperatingSystem><jsdl:OperatingSystemType><jsdl:OperatingSystemName>{}</jsdl:OperatingSystemName></jsdl:OperatingSystemType></jsdl:OperatingSystem>\n",
-            operating_system_name(self.os)
-        ));
-        out.push_str(&format!(
-            "      <jsdl:TotalPhysicalMemory><jsdl:LowerBoundedRange>{}</jsdl:LowerBoundedRange></jsdl:TotalPhysicalMemory>\n",
-            self.min_memory_bytes
-        ));
-        out.push_str(&format!(
-            "      <jsdl:TotalDiskSpace><jsdl:LowerBoundedRange>{}</jsdl:LowerBoundedRange></jsdl:TotalDiskSpace>\n",
-            self.min_disk_bytes
-        ));
-        out.push_str("    </jsdl:Resources>\n");
-        out.push_str(&format!(
-            "    <aria:EstimatedRunningTime>{}</aria:EstimatedRunningTime>\n",
-            self.ert.as_secs()
-        ));
+        // Writing to a `String` cannot fail.
+        let _ = write!(
+            out,
+            "    <jsdl:Resources>\n      \
+             <jsdl:CPUArchitecture><jsdl:CPUArchitectureName>{}</jsdl:CPUArchitectureName></jsdl:CPUArchitecture>\n      \
+             <jsdl:OperatingSystem><jsdl:OperatingSystemType><jsdl:OperatingSystemName>{}</jsdl:OperatingSystemName></jsdl:OperatingSystemType></jsdl:OperatingSystem>\n      \
+             <jsdl:TotalPhysicalMemory><jsdl:LowerBoundedRange>{}</jsdl:LowerBoundedRange></jsdl:TotalPhysicalMemory>\n      \
+             <jsdl:TotalDiskSpace><jsdl:LowerBoundedRange>{}</jsdl:LowerBoundedRange></jsdl:TotalDiskSpace>\n    \
+             </jsdl:Resources>\n    \
+             <aria:EstimatedRunningTime>{}</aria:EstimatedRunningTime>\n",
+            architecture_name(self.arch),
+            operating_system_name(self.os),
+            self.min_memory_bytes,
+            self.min_disk_bytes,
+            self.ert.as_secs(),
+        );
         if let Some(deadline) = self.deadline {
-            out.push_str(&format!(
-                "    <aria:Deadline>{}</aria:Deadline>\n",
-                deadline.as_secs()
-            ));
+            let _ = writeln!(out, "    <aria:Deadline>{}</aria:Deadline>", deadline.as_secs());
         }
-        out.push_str("  </jsdl:JobDescription>\n");
-        out.push_str("</jsdl:JobDefinition>\n");
+        out.push_str("  </jsdl:JobDescription>\n</jsdl:JobDefinition>\n");
         out
     }
 }
 
 /// Reads `<element><LowerBoundedRange>N</LowerBoundedRange></element>`;
 /// a missing element means "no requirement" (0 bytes).
-fn lower_bound(resources: &Element, name: &str) -> Result<u64, JsdlError> {
+fn lower_bound(resources: &Element<'_>, name: &str) -> Result<u64, JsdlError> {
     match resources.descend(&[name, "LowerBoundedRange"]) {
         None => Ok(0),
         Some(e) => e
@@ -243,20 +234,26 @@ fn lower_bound(resources: &Element, name: &str) -> Result<u64, JsdlError> {
     }
 }
 
+/// Whether `name` is one of `aliases`, ignoring ASCII case.
+fn is_any_of(name: &str, aliases: &[&str]) -> bool {
+    aliases.iter().any(|alias| name.eq_ignore_ascii_case(alias))
+}
+
 /// Maps JSDL/CIM architecture names onto the paper's TOP500 set.
 fn parse_architecture(name: &str) -> Result<Architecture, JsdlError> {
-    let lower = name.to_ascii_lowercase();
-    Ok(match lower.as_str() {
-        "x86_64" | "amd64" | "x86-64" | "em64t" => Architecture::Amd64,
-        "power" | "powerpc" | "ppc64" => Architecture::Power,
-        "ia64" | "ia-64" | "itanium" => Architecture::Ia64,
-        "sparc" | "sparc64" => Architecture::Sparc,
-        "mips" | "mips64" => Architecture::Mips,
-        "nec" | "sx" => Architecture::Nec,
-        _ => {
-            return Err(JsdlError::Value(format!("unknown CPU architecture `{name}`")));
-        }
-    })
+    const ALIASES: [(Architecture, &[&str]); 6] = [
+        (Architecture::Amd64, &["x86_64", "amd64", "x86-64", "em64t"]),
+        (Architecture::Power, &["power", "powerpc", "ppc64"]),
+        (Architecture::Ia64, &["ia64", "ia-64", "itanium"]),
+        (Architecture::Sparc, &["sparc", "sparc64"]),
+        (Architecture::Mips, &["mips", "mips64"]),
+        (Architecture::Nec, &["nec", "sx"]),
+    ];
+    ALIASES
+        .iter()
+        .find(|(_, aliases)| is_any_of(name, aliases))
+        .map(|&(arch, _)| arch)
+        .ok_or_else(|| JsdlError::Value(format!("unknown CPU architecture `{name}`")))
 }
 
 fn architecture_name(arch: Architecture) -> &'static str {
@@ -272,17 +269,18 @@ fn architecture_name(arch: Architecture) -> &'static str {
 
 /// Maps JSDL/CIM operating system names onto the paper's TOP500 set.
 fn parse_operating_system(name: &str) -> Result<OperatingSystem, JsdlError> {
-    let lower = name.to_ascii_lowercase();
-    Ok(match lower.as_str() {
-        "linux" => OperatingSystem::Linux,
-        "solaris" | "sunos" => OperatingSystem::Solaris,
-        "unix" | "aix" | "hp-ux" | "hpux" | "irix" | "unixware" => OperatingSystem::Unix,
-        "windows" | "winnt" | "win2000" | "winxp" => OperatingSystem::Windows,
-        "bsd" | "freebsd" | "netbsd" | "openbsd" | "bsdunix" => OperatingSystem::Bsd,
-        _ => {
-            return Err(JsdlError::Value(format!("unknown operating system `{name}`")));
-        }
-    })
+    const ALIASES: [(OperatingSystem, &[&str]); 5] = [
+        (OperatingSystem::Linux, &["linux"]),
+        (OperatingSystem::Solaris, &["solaris", "sunos"]),
+        (OperatingSystem::Unix, &["unix", "aix", "hp-ux", "hpux", "irix", "unixware"]),
+        (OperatingSystem::Windows, &["windows", "winnt", "win2000", "winxp"]),
+        (OperatingSystem::Bsd, &["bsd", "freebsd", "netbsd", "openbsd", "bsdunix"]),
+    ];
+    ALIASES
+        .iter()
+        .find(|(_, aliases)| is_any_of(name, aliases))
+        .map(|&(os, _)| os)
+        .ok_or_else(|| JsdlError::Value(format!("unknown operating system `{name}`")))
 }
 
 fn operating_system_name(os: OperatingSystem) -> &'static str {
@@ -434,5 +432,38 @@ mod tests {
         let xml_err = JobDefinition::parse("<a").unwrap_err();
         assert!(xml_err.to_string().contains("xml error"));
         assert!(matches!(xml_err, JsdlError::Xml(_)));
+    }
+
+    #[test]
+    fn to_xml_writes_the_canonical_document_into_its_presized_buffer() {
+        let req = JobRequirements::new(Architecture::Sparc, OperatingSystem::Bsd, 4, 16);
+        let spec = JobSpec::with_deadline(
+            JobId::new(9),
+            req,
+            SimDuration::from_hours(2),
+            SimTime::from_hours(30),
+        );
+        let xml = JobDefinition::from_job_spec(&spec, Some(" a<b ")).to_xml();
+        assert_eq!(
+            xml,
+            r#"<?xml version="1.0" encoding="UTF-8"?>
+<jsdl:JobDefinition xmlns:jsdl="http://schemas.ggf.org/jsdl/2005/11/jsdl" xmlns:aria="urn:aria:extensions:1">
+  <jsdl:JobDescription>
+    <jsdl:JobIdentification>
+      <jsdl:JobName>a&lt;b</jsdl:JobName>
+    </jsdl:JobIdentification>
+    <jsdl:Resources>
+      <jsdl:CPUArchitecture><jsdl:CPUArchitectureName>sparc</jsdl:CPUArchitectureName></jsdl:CPUArchitecture>
+      <jsdl:OperatingSystem><jsdl:OperatingSystemType><jsdl:OperatingSystemName>FreeBSD</jsdl:OperatingSystemName></jsdl:OperatingSystemType></jsdl:OperatingSystem>
+      <jsdl:TotalPhysicalMemory><jsdl:LowerBoundedRange>4294967296</jsdl:LowerBoundedRange></jsdl:TotalPhysicalMemory>
+      <jsdl:TotalDiskSpace><jsdl:LowerBoundedRange>17179869184</jsdl:LowerBoundedRange></jsdl:TotalDiskSpace>
+    </jsdl:Resources>
+    <aria:EstimatedRunningTime>7200</aria:EstimatedRunningTime>
+    <aria:Deadline>108000</aria:Deadline>
+  </jsdl:JobDescription>
+</jsdl:JobDefinition>
+"#
+        );
+        assert!(xml.len() <= 1024, "the pre-sized buffer never had to regrow");
     }
 }

@@ -5,37 +5,46 @@
 //! Not a general-purpose XML parser (no DTDs, no CDATA, no processing
 //! instructions beyond the prolog), but strict about what it does
 //! accept: mismatched or unterminated tags are errors, not warnings.
+//!
+//! The tree borrows from the document: names are slices of it, and text
+//! and attribute values are too unless an entity reference or a split
+//! text run forces a copy, so parsing a JSDL job allocates only the
+//! child vectors.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
 /// A parsed XML element: local name (namespace prefix stripped),
 /// attributes, child elements and accumulated text content.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Element {
+pub struct Element<'a> {
     /// Local element name (after any `prefix:`).
-    pub name: String,
+    pub name: &'a str,
     /// Attributes as `(local name, value)` pairs, in document order.
-    pub attributes: Vec<(String, String)>,
+    pub attributes: Vec<(&'a str, Cow<'a, str>)>,
     /// Child elements, in document order.
-    pub children: Vec<Element>,
+    pub children: Vec<Element<'a>>,
     /// Concatenated, whitespace-trimmed text directly inside the element.
-    pub text: String,
+    pub text: Cow<'a, str>,
 }
 
-impl Element {
+impl<'a> Element<'a> {
     /// First child with the given local name.
-    pub fn child(&self, name: &str) -> Option<&Element> {
+    pub fn child(&self, name: &str) -> Option<&Element<'a>> {
         self.children.iter().find(|c| c.name == name)
     }
 
     /// All children with the given local name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> {
+    pub fn children_named<'s>(
+        &'s self,
+        name: &'s str,
+    ) -> impl Iterator<Item = &'s Element<'a>> + 's {
         self.children.iter().filter(move |c| c.name == name)
     }
 
     /// Descends through a path of child names.
-    pub fn descend(&self, path: &[&str]) -> Option<&Element> {
+    pub fn descend(&self, path: &[&str]) -> Option<&Element<'a>> {
         let mut here = self;
         for name in path {
             here = here.child(name)?;
@@ -55,7 +64,7 @@ impl Element {
 
     /// Value of an attribute by local name.
     pub fn attribute(&self, name: &str) -> Option<&str> {
-        self.attributes.iter().find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+        self.attributes.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_ref())
     }
 }
 
@@ -88,7 +97,7 @@ impl Error for XmlError {}
 /// Returns [`XmlError`] on malformed input: unterminated or mismatched
 /// tags, garbage outside the root element, bad attribute syntax, or an
 /// unknown entity reference.
-pub fn parse(input: &str) -> Result<Element, XmlError> {
+pub fn parse(input: &str) -> Result<Element<'_>, XmlError> {
     let mut parser = Parser { input, pos: 0 };
     parser.skip_prolog()?;
     let root = parser.element()?;
@@ -162,22 +171,36 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let rest = self.rest();
-        let end = rest
-            .char_indices()
-            .find(|&(_, c)| !(c.is_alphanumeric() || matches!(c, ':' | '_' | '-' | '.')))
-            .map_or(rest.len(), |(i, _)| i);
+        let mut end = 0;
+        // Where the local part starts: JSDL documents qualify everything,
+        // and only what follows the last `:` is kept.
+        let mut local = 0;
+        // Names are most of a JSDL document's bytes, so ASCII — all of it
+        // in practice — is classified bytewise; `char` decides the rest.
+        while let Some(&byte) = rest.as_bytes().get(end) {
+            match byte {
+                b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'-' | b'.' => end += 1,
+                b':' => {
+                    end += 1;
+                    local = end;
+                }
+                0x80.. => match rest[end..].chars().next() {
+                    Some(c) if c.is_alphanumeric() => end += c.len_utf8(),
+                    _ => break,
+                },
+                _ => break,
+            }
+        }
         if end == 0 {
             return Err(XmlError::new("expected a name", self.pos));
         }
-        let raw = &rest[..end];
         self.bump(end);
-        // Strip any namespace prefix: JSDL documents qualify everything.
-        Ok(raw.rsplit(':').next().expect("split is non-empty").to_string())
+        Ok(&rest[local..end])
     }
 
-    fn attribute(&mut self) -> Result<(String, String), XmlError> {
+    fn attribute(&mut self) -> Result<(&'a str, Cow<'a, str>), XmlError> {
         let name = self.name()?;
         self.skip_whitespace();
         self.expect("=")?;
@@ -196,7 +219,7 @@ impl<'a> Parser<'a> {
         Ok((name, value))
     }
 
-    fn element(&mut self) -> Result<Element, XmlError> {
+    fn element(&mut self) -> Result<Element<'a>, XmlError> {
         self.expect("<")?;
         let name = self.name()?;
         let mut element = Element { name, ..Element::default() };
@@ -214,7 +237,7 @@ impl<'a> Parser<'a> {
         }
 
         // Content: text, children, comments, until `</name>`.
-        let mut text = String::new();
+        let mut text: Cow<'a, str> = Cow::Borrowed("");
         loop {
             if self.rest().is_empty() {
                 return Err(XmlError::new(
@@ -237,7 +260,10 @@ impl<'a> Parser<'a> {
                 }
                 self.skip_whitespace();
                 self.expect(">")?;
-                element.text = text.trim().to_string();
+                element.text = match text {
+                    Cow::Borrowed(run) => Cow::Borrowed(run.trim()),
+                    Cow::Owned(runs) => Cow::Owned(runs.trim().to_string()),
+                };
                 return Ok(element);
             }
             if self.rest().starts_with('<') {
@@ -246,16 +272,23 @@ impl<'a> Parser<'a> {
             }
             let rest = self.rest();
             let end = rest.find('<').unwrap_or(rest.len());
-            text.push_str(&unescape(&rest[..end], self.pos)?);
+            let run = unescape(&rest[..end], self.pos)?;
+            // Leading white space is trimmed in the end anyway, so the
+            // indentation between child elements never forces a copy.
+            if text.trim_start().is_empty() {
+                text = run;
+            } else {
+                text.to_mut().push_str(&run);
+            }
             self.bump(end);
         }
     }
 }
 
 /// Resolves the five predefined entity references.
-fn unescape(raw: &str, offset: usize) -> Result<String, XmlError> {
+fn unescape(raw: &str, offset: usize) -> Result<Cow<'_, str>, XmlError> {
     if !raw.contains('&') {
-        return Ok(raw.to_string());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -278,12 +311,18 @@ fn unescape(raw: &str, offset: usize) -> Result<String, XmlError> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 /// Escapes text for inclusion in an XML document.
 pub fn escape(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
+    escape_into(raw, &mut out);
+    out
+}
+
+/// Appends `raw`, escaped, to `out`.
+pub(crate) fn escape_into(raw: &str, out: &mut String) {
     for c in raw.chars() {
         match c {
             '<' => out.push_str("&lt;"),
@@ -294,7 +333,6 @@ pub fn escape(raw: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -307,7 +345,7 @@ mod tests {
         assert_eq!(root.name, "a");
         assert_eq!(root.child_text("b"), Some("hello"));
         let c = root.child("c").unwrap();
-        let ds: Vec<&str> = c.children_named("d").map(|d| d.text.as_str()).collect();
+        let ds: Vec<&str> = c.children_named("d").map(|d| d.text.as_ref()).collect();
         assert_eq!(ds, ["1", "2"]);
     }
 
@@ -318,6 +356,16 @@ mod tests {
         assert_eq!(root.name, "JobDefinition");
         assert_eq!(root.attribute("jsdl"), Some("urn:x")); // xmlns:jsdl -> local name jsdl
         assert!(root.child("JobDescription").is_some());
+    }
+
+    #[test]
+    fn names_may_be_any_alphanumerics_not_just_ascii() {
+        let root = parse("<préfixe:naïve_1 clé=\"v\"><語/></préfixe:naïve_1>").unwrap();
+        assert_eq!(root.name, "naïve_1");
+        assert_eq!(root.attribute("clé"), Some("v"));
+        assert_eq!(root.children[0].name, "語");
+        // A non-alphanumeric character ends the name wherever it sits.
+        assert_eq!(parse("<a→/>").unwrap_err().offset, 2);
     }
 
     #[test]
@@ -379,5 +427,35 @@ mod tests {
         let root = parse("<a>\n   <b/>\n</a>").unwrap();
         assert_eq!(root.text, "");
         assert_eq!(root.child_text("b"), None);
+    }
+
+    #[test]
+    fn borrows_from_the_document_unless_it_must_copy() {
+        let root = parse(r#"<p:a k="v" e="&lt;"> plain <b/>tail<c>x &amp; y</c></p:a>"#).unwrap();
+        assert!(matches!(root.attributes[0], ("k", Cow::Borrowed("v"))));
+        assert!(matches!(root.attributes[1], ("e", Cow::Owned(_))));
+        // Two text runs around <b/> concatenate, so the parent copies...
+        assert_eq!(root.text, "plain tail");
+        assert!(matches!(root.text, Cow::Owned(_)));
+        // ...a single run is a trimmed slice, an entity forces a copy.
+        let doc = "<a>  one run  </a>";
+        assert!(matches!(parse(doc).unwrap().text, Cow::Borrowed("one run")));
+        assert!(matches!(root.child("c").unwrap().text, Cow::Owned(_)));
+        // Indentation between children is not text worth copying.
+        let doc = "<a>\n  <b/>\n  <c/>\n</a>";
+        assert!(matches!(parse(doc).unwrap().text, Cow::Borrowed("")));
+        assert_eq!(parse("<a> <b/> x <c/> </a>").unwrap().text, "x");
+    }
+
+    #[test]
+    fn errors_carry_the_offset_they_were_detected_at() {
+        let offset = |doc: &str| parse(doc).unwrap_err().offset;
+        assert_eq!(offset("<a><b></a></b>"), 9);
+        assert_eq!(offset("<a><b>"), 6);
+        assert_eq!(offset("<a k=v/>"), 5);
+        assert_eq!(offset("<a k=\"v/>"), 6);
+        assert_eq!(offset("<a>x &nbsp; y</a>"), 3);
+        assert_eq!(offset("<a/>extra"), 4);
+        assert_eq!(offset("  <?xml version=\"1.0\""), 2);
     }
 }

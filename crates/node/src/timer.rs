@@ -3,79 +3,54 @@
 //! The driver requests timers in relative [`SimDuration`]s; the runtime
 //! anchors them to its monotonic clock (milliseconds since startup,
 //! mapped onto [`aria_sim::SimTime`]) and delivers each exactly once.
-//! The wheel is a plain binary heap — node timer counts are tiny
-//! (per-job protocol deadlines plus a periodic tick), far below where a
-//! hashed or hierarchical wheel would pay off.
+//! The wheel is the simulator's own [`EventQueue`] — the one
+//! `(deadline, arming order)` structure in the tree — behind the three
+//! calls the runtime loop makes. The runtime arms relative to a clock
+//! that never runs backwards and only pops what is already due, which is
+//! exactly the queue's monotone contract. Arming before the last popped
+//! deadline is that queue's past-schedule case: a debug build panics, a
+//! release build fires the timer at the next `pop_due`.
+//!
+//! [`SimDuration`]: aria_sim::SimDuration
 
 use aria_core::driver::Timer;
-use aria_sim::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-struct Entry {
-    fire_at: SimTime,
-    seq: u64,
-    timer: Timer,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.fire_at == other.fire_at && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: earliest deadline pops first from the max-heap.
-        (other.fire_at, other.seq).cmp(&(self.fire_at, self.seq))
-    }
-}
+use aria_sim::{EventQueue, SimTime};
 
 /// Pending timers ordered by deadline; FIFO among equal deadlines.
 #[derive(Default)]
 pub struct TimerWheel {
-    heap: BinaryHeap<Entry>,
-    seq: u64,
+    queue: EventQueue<Timer>,
 }
 
 impl TimerWheel {
     /// Creates an empty wheel.
     pub fn new() -> Self {
-        TimerWheel { heap: BinaryHeap::new(), seq: 0 }
+        TimerWheel::default()
     }
 
     /// Schedules `timer` to fire at `fire_at`.
     pub fn arm(&mut self, fire_at: SimTime, timer: Timer) {
-        self.heap.push(Entry { fire_at, seq: self.seq, timer });
-        self.seq += 1;
+        self.queue.schedule(fire_at, timer);
     }
 
     /// The earliest pending deadline, if any timer is armed.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.fire_at)
+        self.queue.peek_time()
     }
 
     /// Pops the next timer due at or before `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<Timer> {
-        if self.heap.peek().is_some_and(|e| e.fire_at <= now) {
-            return self.heap.pop().map(|e| e.timer);
-        }
-        None
+        self.queue.pop_due(now).map(|(_, timer)| timer)
     }
 
     /// Number of armed timers.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.queue.len()
     }
 
     /// Whether no timer is armed.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.queue.is_empty()
     }
 }
 

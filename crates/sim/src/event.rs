@@ -8,12 +8,32 @@ use crate::time::SimTime;
 /// the same instant are delivered in scheduling order (FIFO), which makes
 /// simulation runs reproducible regardless of payload type.
 ///
-/// Internally a 4-ary min-heap ordered on `(time, seq)`: popping the
-/// minimum dominates a simulation run's profile, and the wider fan-out
-/// halves the sift-down depth over a binary heap while the children of a
-/// node share a cache line or two. Every key is unique (the sequence
-/// number breaks ties), so *any* correct heap pops the same order — the
-/// layout is a pure performance choice with no effect on determinism.
+/// Internally a *monotone radix queue*. A simulation never schedules
+/// before the instant it last popped, so every pending key `at` is
+/// `>= last` (the timestamp of the latest refill) and can be filed by the
+/// highest base-16 digit in which it differs from `last`: list 0 holds
+/// the entries with `at == last`, list `(level, digit)` those whose
+/// highest differing digit is number `level` and has value `digit`.
+/// `schedule` appends to the tail of one list; `pop` takes the head of
+/// list 0 and, when that is empty, moves `last` to the minimum of the
+/// lowest non-empty list and refiles that one list. An entry only ever
+/// moves to a lower level, so it is touched at most once per differing
+/// digit — about twice for the 5–150 ms delays a run is made of — instead
+/// of once per level of a heap.
+///
+/// All entries live in one slab of slots threaded into intrusive singly
+/// linked lists; popped slots go to a LIFO free list and are reused by
+/// the next `schedule`, so the slab never outgrows the deepest the
+/// pending set has been ([`EventQueue::peak_len`]) and payloads never
+/// move once written.
+///
+/// Entries with equal timestamps are always in the same list (the list
+/// is a function of `at` and `last` only), new entries join at the tail,
+/// and refiling walks a list front to back — so FIFO among ties holds
+/// without ever comparing sequence numbers, and the delivery order is
+/// exactly ascending `(time, seq)`, the order any correct priority queue
+/// on that key produces. The layout is a pure performance choice with no
+/// effect on determinism (DESIGN.md §9 has the measurements behind it).
 ///
 /// # Example
 ///
@@ -29,78 +49,158 @@ use crate::time::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: Vec<Entry<E>>,
+    slab: Vec<Slot<E>>,
+    /// Head of the LIFO list of vacant slots, threaded through `next`.
+    free: u32,
+    /// Per list: first and last slot, and the smallest `at` linked since
+    /// the list was last empty. `tails` and `mins` are meaningful only
+    /// while `heads` is not [`NIL`].
+    heads: [u32; LISTS],
+    tails: [u32; LISTS],
+    mins: [SimTime; LISTS],
+    /// Bit `l` set iff `digit_masks[l] != 0`.
+    level_mask: u16,
+    /// Bit `d` of entry `l` set iff list `(l, d)` is non-empty.
+    digit_masks: [u16; LEVELS],
+    /// The radix reference point: every linked `at` is `>= last`, and
+    /// list 0 holds exactly the entries with `at == last`. Moves only in
+    /// [`EventQueue::pop`].
+    last: SimTime,
+    len: usize,
     next_seq: u64,
     now: SimTime,
     clamped: u64,
     peak: usize,
 }
 
-/// Heap arity. Four children per node: sift-down compares one extra pair
-/// per level but needs half the levels, a known win for pop-heavy heaps.
-const ARITY: usize = 4;
+/// Bits per radix digit. Base 16: binary digits were measured to refile
+/// every entry twice as often, wider digits to spread a paper-scale
+/// pending set over too many near-empty lists.
+const DIGIT_BITS: u32 = 4;
+const DIGITS: usize = 1 << DIGIT_BITS;
+const LEVELS: usize = (u64::BITS / DIGIT_BITS) as usize;
+const LISTS: usize = 1 + LEVELS * DIGITS;
+/// The null link.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
-struct Entry<E> {
+struct Slot<E> {
     at: SimTime,
     seq: u64,
-    event: E,
-}
-
-impl<E> Entry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
+    /// Next slot in the same list (or the next vacant slot).
+    next: u32,
+    /// `None` while the slot is on the free list.
+    event: Option<E>,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        EventQueue { heap: Vec::new(), next_seq: 0, now: SimTime::ZERO, clamped: 0, peak: 0 }
+        EventQueue {
+            slab: Vec::new(),
+            free: NIL,
+            heads: [NIL; LISTS],
+            tails: [NIL; LISTS],
+            mins: [SimTime::ZERO; LISTS],
+            level_mask: 0,
+            digit_masks: [0; LEVELS],
+            last: SimTime::ZERO,
+            len: 0,
+            next_seq: 0,
+            now: SimTime::ZERO,
+            clamped: 0,
+            peak: 0,
+        }
     }
 
     /// Reserves room for at least `additional` more pending events, so a
     /// known burst of schedules (a world's per-node start-up timers) does
-    /// not regrow the heap once per doubling. Capacity only: pop order
+    /// not regrow the slab once per doubling. Capacity only: pop order
     /// and every observable counter are unaffected.
     pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
+        let vacant = self.slab.len() - self.len;
+        self.slab.reserve(additional.saturating_sub(vacant));
     }
 
-    /// Restores the heap invariant upward from `pos` after a push.
-    fn sift_up(&mut self, mut pos: usize) {
-        while pos > 0 {
-            let parent = (pos - 1) / ARITY;
-            if self.heap[pos].key() < self.heap[parent].key() {
-                self.heap.swap(pos, parent);
-                pos = parent;
-            } else {
-                break;
+    /// The list an entry with timestamp `at` belongs to under the current
+    /// `last`.
+    #[inline]
+    fn list_of(&self, at: SimTime) -> usize {
+        let diff = at.as_millis() ^ self.last.as_millis();
+        if diff == 0 {
+            return 0;
+        }
+        let level = (u64::BITS - 1 - diff.leading_zeros()) / DIGIT_BITS;
+        let digit = (at.as_millis() >> (DIGIT_BITS * level)) as usize & (DIGITS - 1);
+        1 + level as usize * DIGITS + digit
+    }
+
+    /// The `(level, digit)` that names `list` (>= 1) in the two masks.
+    #[inline]
+    fn mask_bit(list: usize) -> (usize, usize) {
+        ((list - 1) / DIGITS, (list - 1) % DIGITS)
+    }
+
+    /// Appends slot `idx` to the list its timestamp selects.
+    #[inline]
+    fn link(&mut self, idx: u32) {
+        let at = self.slab[idx as usize].at;
+        let list = self.list_of(at);
+        self.slab[idx as usize].next = NIL;
+        if self.heads[list] == NIL {
+            self.heads[list] = idx;
+            self.mins[list] = at;
+            if list != 0 {
+                let (level, digit) = Self::mask_bit(list);
+                self.digit_masks[level] |= 1 << digit;
+                self.level_mask |= 1 << level;
             }
+        } else {
+            self.slab[self.tails[list] as usize].next = idx;
+            if at < self.mins[list] {
+                self.mins[list] = at;
+            }
+        }
+        self.tails[list] = idx;
+    }
+
+    /// Marks `list` (>= 1) empty in `heads` and both masks.
+    fn clear_list(&mut self, list: usize) {
+        let (level, digit) = Self::mask_bit(list);
+        self.heads[list] = NIL;
+        self.digit_masks[level] &= !(1 << digit);
+        if self.digit_masks[level] == 0 {
+            self.level_mask &= !(1 << level);
         }
     }
 
-    /// Restores the heap invariant downward from `pos` after a pop.
-    fn sift_down(&mut self, mut pos: usize) {
-        loop {
-            let first = ARITY * pos + 1;
-            if first >= self.heap.len() {
-                break;
-            }
-            let end = (first + ARITY).min(self.heap.len());
-            let mut best = first;
-            for child in first + 1..end {
-                if self.heap[child].key() < self.heap[best].key() {
-                    best = child;
-                }
-            }
-            if self.heap[pos].key() <= self.heap[best].key() {
-                break;
-            }
-            self.heap.swap(pos, best);
-            pos = best;
+    /// The list holding the earliest pending entry and that entry's
+    /// timestamp, or `None` if the queue is empty. O(1): list 0 if it has
+    /// anything, else the lowest digit of the lowest level — every entry
+    /// there is smaller than every entry of a higher digit or level.
+    #[inline]
+    fn front(&self) -> Option<(usize, SimTime)> {
+        if self.heads[0] != NIL {
+            return Some((0, self.last));
         }
+        if self.level_mask == 0 {
+            return None;
+        }
+        let level = self.level_mask.trailing_zeros() as usize;
+        let digit = self.digit_masks[level].trailing_zeros() as usize;
+        let list = 1 + level * DIGITS + digit;
+        Some((list, self.mins[list]))
+    }
+
+    /// Vacates slot `idx` (already unlinked) and returns its payload.
+    #[inline]
+    fn release(&mut self, idx: u32) -> E {
+        let slot = &mut self.slab[idx as usize];
+        let event = slot.event.take().expect("a linked slot holds an event");
+        slot.next = self.free;
+        self.free = idx;
+        self.len -= 1;
+        event
     }
 
     /// Schedules `event` for delivery at instant `at`.
@@ -115,11 +215,28 @@ impl<E> EventQueue<E> {
         if at < self.now {
             self.clamped += 1;
         }
-        let seq = self.next_seq;
+        // `now >= last` always (see `pop`), so the clamp also keeps the
+        // radix invariant `at >= last`.
+        let slot = Slot { at: at.max(self.now), seq: self.next_seq, next: NIL, event: Some(event) };
         self.next_seq += 1;
-        self.heap.push(Entry { at: at.max(self.now), seq, event });
-        self.peak = self.peak.max(self.heap.len());
-        self.sift_up(self.heap.len() - 1);
+        let idx = match self.free {
+            NIL => {
+                let idx = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&idx| idx != NIL)
+                    .expect("fewer than u32::MAX events pending at once");
+                self.slab.push(slot);
+                idx
+            }
+            vacant => {
+                self.free = self.slab[vacant as usize].next;
+                self.slab[vacant as usize] = slot;
+                vacant
+            }
+        };
+        self.link(idx);
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
     }
 
     /// How many events were scheduled in the past and clamped to `now`.
@@ -133,26 +250,57 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event together with its timestamp,
     /// advancing the queue clock, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
+        let (list, at) = self.front()?;
+        Some(self.pop_front(list, at))
+    }
+
+    /// Like [`EventQueue::pop`], but leaves the queue untouched and
+    /// returns `None` if the earliest event is later than `deadline`.
+    pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        let (list, at) = self.front()?;
+        (at <= deadline).then(|| self.pop_front(list, at))
+    }
+
+    /// Pops the earliest entry, given what [`EventQueue::front`] returned.
+    #[inline]
+    fn pop_front(&mut self, list: usize, at: SimTime) -> (SimTime, E) {
+        if list != 0 {
+            // Move the reference point to the global minimum and refile
+            // the one list that held it. Everything in that list agrees
+            // with the new `last` above the list's own digit, so it lands
+            // in list 0 or a strictly lower level, in its old order.
+            self.last = at;
+            let mut idx = self.heads[list];
+            self.clear_list(list);
+            while idx != NIL {
+                let next = self.slab[idx as usize].next;
+                self.link(idx);
+                idx = next;
+            }
         }
-        let entry = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+        let idx = self.heads[0];
+        self.heads[0] = self.slab[idx as usize].next;
+        // The one place `now` can move backwards — and only after the
+        // exploration driver ran it ahead with `advance_clock`.
+        self.now = at;
+        (at, self.release(idx))
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.at)
+        self.front().map(|(_, at)| at)
     }
 
     /// The next event (the one [`EventQueue::pop`] would return) without
-    /// removing it.
+    /// removing it. Walks the front list to its first minimum, so unlike
+    /// [`EventQueue::peek_time`] it is not O(1).
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.first().map(|e| (e.at, &e.event))
+        let (list, at) = self.front()?;
+        let mut idx = self.heads[list];
+        while self.slab[idx as usize].at != at {
+            idx = self.slab[idx as usize].next;
+        }
+        self.slab[idx as usize].event.as_ref().map(|event| (at, event))
     }
 
     // --- exploration hooks ------------------------------------------------
@@ -171,24 +319,55 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::advance_clock`] when the removed event should also
     /// move time forward.
     pub fn remove_where(&mut self, mut pred: impl FnMut(&E) -> bool) -> Option<(SimTime, E)> {
-        let mut best: Option<usize> = None;
-        for (i, entry) in self.heap.iter().enumerate() {
-            if pred(&entry.event) && best.is_none_or(|b| entry.key() < self.heap[b].key()) {
-                best = Some(i);
+        let mut best: Option<(SimTime, u64, usize)> = None;
+        for (idx, slot) in self.slab.iter().enumerate() {
+            let Some(event) = &slot.event else { continue };
+            if pred(event) && best.is_none_or(|(at, seq, _)| (slot.at, slot.seq) < (at, seq)) {
+                best = Some((slot.at, slot.seq, idx));
             }
         }
-        let pos = best?;
-        let entry = self.heap.swap_remove(pos);
-        if pos < self.heap.len() {
-            // The swapped-in tail element may violate the heap invariant
-            // in either direction.
-            self.sift_down(pos);
-            self.sift_up(pos);
+        let (at, _, idx) = best?;
+        let idx = idx as u32;
+
+        // Unlink from the middle of its list: find the predecessor, then
+        // repair whichever of head, tail and minimum the slot carried.
+        let list = self.list_of(at);
+        let next = self.slab[idx as usize].next;
+        let mut prev = NIL;
+        let mut cursor = self.heads[list];
+        while cursor != idx {
+            prev = cursor;
+            cursor = self.slab[cursor as usize].next;
         }
-        Some((entry.at, entry.event))
+        if prev == NIL {
+            self.heads[list] = next;
+        } else {
+            self.slab[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tails[list] = prev;
+        }
+        if list != 0 {
+            if self.heads[list] == NIL {
+                self.clear_list(list);
+            } else if at == self.mins[list] {
+                let mut min = SimTime::from_millis(u64::MAX);
+                let mut cursor = self.heads[list];
+                while cursor != NIL {
+                    min = min.min(self.slab[cursor as usize].at);
+                    cursor = self.slab[cursor as usize].next;
+                }
+                self.mins[list] = min;
+            }
+        }
+        Some((at, self.release(idx)))
     }
 
     /// Advances the queue clock to `to` without delivering anything.
+    ///
+    /// Pending events may then lie before `now`; they keep their places
+    /// (the radix reference point does not move) and the next
+    /// [`EventQueue::pop`] sets the clock back to the popped timestamp.
     ///
     /// # Panics
     ///
@@ -200,23 +379,23 @@ impl<E> EventQueue<E> {
     }
 
     /// Iterates over every pending event with its timestamp and sequence
-    /// number, in unspecified (heap) order.
+    /// number, in unspecified (slab) order.
     ///
     /// Like [`EventQueue::iter`] but exposing the FIFO tie-break key, so
     /// state canonicalization can order same-instant events exactly as
     /// [`EventQueue::pop`] would deliver them.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
-        self.heap.iter().map(|e| (e.at, e.seq, &e.event))
+        self.slab.iter().filter_map(|s| s.event.as_ref().map(|event| (s.at, s.seq, event)))
     }
 
-    /// Iterates over every pending event in unspecified (heap) order.
+    /// Iterates over every pending event in unspecified (slab) order.
     ///
     /// This is an inspection hook for state-machine auditing — e.g.
     /// `World::check_invariants` cross-checks per-flood in-flight counts
     /// against the messages actually pending here. Delivery order is
     /// still decided exclusively by [`EventQueue::pop`].
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> + '_ {
-        self.heap.iter().map(|e| (e.at, &e.event))
+        self.entries().map(|(at, _, event)| (at, event))
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -226,12 +405,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len == 0
     }
 
     /// High-water mark of [`EventQueue::len`] over the queue's lifetime —
@@ -239,6 +418,99 @@ impl<E> EventQueue<E> {
     /// (feeds the probe layer's gauge events); never affects delivery.
     pub fn peak_len(&self) -> usize {
         self.peak
+    }
+
+    /// Audits the queue's internal structure, returning the first
+    /// inconsistency found: every linked slot is in the list its
+    /// timestamp selects, same-instant neighbours are in sequence order,
+    /// each list's tail and tracked minimum and both bit masks are exact,
+    /// linked and vacant slots partition the slab, and `len` counts the
+    /// linked ones. Read-only and O(slab); `World::try_check_invariants`
+    /// calls it beside the topology and scheduler-queue audits.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.now < self.last {
+            return Err(format!("clock {} is behind the radix reference {}", self.now, self.last));
+        }
+        let mut seen = vec![false; self.slab.len()];
+        let mut visit = |idx: u32, what: std::fmt::Arguments<'_>| -> Result<(), String> {
+            match seen.get_mut(idx as usize) {
+                None => Err(format!("{what} links to slot {idx} outside the slab")),
+                Some(true) => Err(format!("{what} reaches slot {idx} twice")),
+                Some(slot) => {
+                    *slot = true;
+                    Ok(())
+                }
+            }
+        };
+
+        let mut linked = 0usize;
+        for list in 0..LISTS {
+            let mut min: Option<SimTime> = None;
+            let mut prev: Option<(u32, SimTime, u64)> = None;
+            let mut idx = self.heads[list];
+            while idx != NIL {
+                visit(idx, format_args!("list {list}"))?;
+                let slot = &self.slab[idx as usize];
+                if slot.event.is_none() {
+                    return Err(format!("list {list} links vacant slot {idx}"));
+                }
+                if self.list_of(slot.at) != list {
+                    return Err(format!(
+                        "slot {idx} at {} is in list {list}, not {} (last {})",
+                        slot.at,
+                        self.list_of(slot.at),
+                        self.last
+                    ));
+                }
+                if prev.is_some_and(|(_, at, seq)| at == slot.at && seq >= slot.seq) {
+                    return Err(format!("list {list} breaks FIFO among ties at slot {idx}"));
+                }
+                min = Some(min.map_or(slot.at, |m| m.min(slot.at)));
+                prev = Some((idx, slot.at, slot.seq));
+                linked += 1;
+                idx = slot.next;
+            }
+            if let Some((tail, ..)) = prev {
+                if self.tails[list] != tail {
+                    return Err(format!("list {list} ends at slot {tail}, tail says {}", self.tails[list]));
+                }
+                if list != 0 && Some(self.mins[list]) != min {
+                    return Err(format!("list {list} tracks minimum {}, holds {min:?}", self.mins[list]));
+                }
+            }
+            if list != 0 {
+                let (level, digit) = Self::mask_bit(list);
+                if (self.digit_masks[level] >> digit & 1 == 1) != prev.is_some() {
+                    return Err(format!("digit mask of level {level} is wrong about digit {digit}"));
+                }
+            }
+        }
+        for (level, &mask) in self.digit_masks.iter().enumerate() {
+            if (self.level_mask >> level & 1 == 1) != (mask != 0) {
+                return Err(format!("level mask is wrong about level {level}"));
+            }
+        }
+
+        let mut vacant = 0usize;
+        let mut idx = self.free;
+        while idx != NIL {
+            visit(idx, format_args!("the free list"))?;
+            if self.slab[idx as usize].event.is_some() {
+                return Err(format!("the free list links occupied slot {idx}"));
+            }
+            vacant += 1;
+            idx = self.slab[idx as usize].next;
+        }
+        if linked + vacant != self.slab.len() {
+            return Err(format!(
+                "{linked} linked + {vacant} vacant slots do not cover a slab of {}",
+                self.slab.len()
+            ));
+        }
+        if linked != self.len {
+            return Err(format!("len is {}, {linked} slots are linked", self.len));
+        }
+        Ok(())
     }
 }
 
@@ -353,6 +625,7 @@ mod tests {
         q.pop();
         q.schedule(SimTime::from_secs(3), 'b');
         assert_eq!(q.clamped_count(), 1);
+        q.validate().unwrap();
         // The clamped event fires at `now`, not in the past.
         let (at, e) = q.pop().unwrap();
         assert_eq!((at, e), (SimTime::from_secs(10), 'b'));
@@ -360,9 +633,9 @@ mod tests {
 
     #[test]
     fn heap_pops_total_order_under_interleaving() {
-        // Exercise the 4-ary heap with a scrambled schedule: pops must
-        // come out sorted by (time, scheduling order) whatever the push
-        // order was, including pushes interleaved with pops.
+        // A scrambled schedule: pops must come out sorted by (time,
+        // scheduling order) whatever the push order was, including
+        // pushes interleaved with pops.
         let mut q = EventQueue::new();
         let mut expected = Vec::new();
         for i in 0..400u64 {
@@ -382,8 +655,10 @@ mod tests {
             expected.push((now + SimDuration::from_millis(i), i));
         }
         expected.sort();
+        q.validate().unwrap();
         popped.extend(std::iter::from_fn(|| q.pop()));
         assert_eq!(popped, expected);
+        q.validate().unwrap();
     }
 
     #[test]
@@ -420,6 +695,7 @@ mod tests {
         let mut odd = Vec::new();
         while let Some((at, e)) = q.remove_where(|e| e % 2 == 1) {
             odd.push((at, e));
+            q.validate().unwrap();
         }
         let mut sorted = odd.clone();
         sorted.sort_by_key(|&(t, e)| (t, e));
@@ -486,5 +762,121 @@ mod tests {
         let a: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
         let b: Vec<(SimTime, u64)> = std::iter::from_fn(|| fork.pop()).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn pop_due_stops_at_the_deadline_without_touching_the_queue() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), 'a');
+        q.schedule(SimTime::from_secs(3), 'b');
+        assert_eq!(q.pop_due(SimTime::from_millis(999)), None);
+        assert_eq!((q.now(), q.len()), (SimTime::ZERO, 2));
+        assert_eq!(q.pop_due(SimTime::from_secs(1)), Some((SimTime::from_secs(1), 'a')));
+        assert_eq!(q.now(), SimTime::from_secs(1));
+        assert_eq!(q.pop_due(SimTime::from_secs(2)), None);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(3)));
+        assert_eq!(q.pop_due(SimTime::from_secs(9)), Some((SimTime::from_secs(3), 'b')));
+        assert_eq!(q.pop_due(SimTime::from_secs(9)), None);
+    }
+
+    #[test]
+    fn slots_are_recycled_across_bursts() {
+        let mut q = EventQueue::new();
+        for round in 0..3u64 {
+            let base = q.now();
+            for i in 0..64u64 {
+                q.schedule(base + SimDuration::from_millis((i * 37) % 50), round * 64 + i);
+            }
+            q.validate().unwrap();
+            while q.pop().is_some() {}
+            q.validate().unwrap();
+        }
+        q.schedule(q.now(), 0);
+        assert_eq!(q.peak_len(), 64);
+        assert_eq!(q.slab.len(), q.peak_len(), "a drained burst's slots serve the next one");
+    }
+
+    #[test]
+    fn reserve_counts_vacant_slots() {
+        let mut q = EventQueue::new();
+        for i in 0..8 {
+            q.schedule(SimTime::ZERO, i);
+        }
+        while q.pop().is_some() {}
+        let before = q.slab.capacity();
+        q.reserve(8);
+        assert_eq!(q.slab.capacity(), before, "eight vacant slots already cover the request");
+        q.reserve(before + 1);
+        assert!(q.slab.capacity() > before);
+    }
+
+    #[test]
+    fn keys_across_every_radix_level_pop_in_order() {
+        // One key per base-16 digit position, up to the last
+        // representable instant, each with a same-instant twin.
+        let mut q = EventQueue::new();
+        let mut expected = Vec::new();
+        let keys = (0..16).map(|level| 0xBu64 << (4 * level)).chain([u64::MAX - 1, u64::MAX]);
+        for (i, key) in keys.enumerate() {
+            for twin in 0..2 {
+                q.schedule(SimTime::from_millis(key), (i, twin));
+                expected.push((SimTime::from_millis(key), (i, twin)));
+            }
+        }
+        q.validate().unwrap();
+        let mut popped = Vec::new();
+        while let Some(entry) = q.pop() {
+            q.validate().unwrap();
+            popped.push(entry);
+        }
+        assert_eq!(popped, expected);
+        assert_eq!(q.now(), SimTime::from_millis(u64::MAX));
+    }
+
+    #[test]
+    fn pop_after_advance_clock_delivers_overtaken_events_first() {
+        // The exploration driver can run the clock past pending events;
+        // they stay filed where they were and still pop in (time, seq)
+        // order, ahead of anything scheduled at the advanced clock.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), 'a');
+        q.schedule(SimTime::from_secs(40), 'c');
+        q.advance_clock(SimTime::from_secs(30));
+        q.schedule(SimTime::from_secs(30), 'b');
+        q.validate().unwrap();
+        let order: Vec<(SimTime, char)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (SimTime::from_secs(2), 'a'),
+                (SimTime::from_secs(30), 'b'),
+                (SimTime::from_secs(40), 'c')
+            ]
+        );
+    }
+
+    #[test]
+    fn validate_names_a_corrupted_list() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(1), 'a');
+        q.schedule(SimTime::from_secs(2), 'b');
+        q.validate().unwrap();
+
+        let mut broken = q.clone();
+        broken.slab[0].at = SimTime::from_secs(500);
+        assert!(broken.validate().unwrap_err().contains("is in list"));
+
+        let mut broken = q.clone();
+        broken.level_mask = 0;
+        assert!(broken.validate().unwrap_err().contains("level mask"));
+
+        let mut broken = q.clone();
+        broken.len = 3;
+        assert!(broken.validate().unwrap_err().contains("len is 3"));
+
+        let mut broken = q;
+        broken.pop();
+        broken.free = NIL;
+        assert!(broken.validate().unwrap_err().contains("do not cover"));
     }
 }

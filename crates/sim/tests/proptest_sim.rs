@@ -4,25 +4,109 @@
 use aria_sim::{stats, EventQueue, SimDuration, SimRng, SimTime, Summary, TimeSeries};
 use proptest::prelude::*;
 
+/// Removes the earliest entry of the sorted model whose payload `keep`s.
+fn take_first(
+    model: &mut Vec<(u64, u64, usize)>,
+    keep: impl Fn(usize) -> bool,
+) -> Option<(SimTime, usize)> {
+    let pos = model.iter().position(|&(_, _, e)| keep(e))?;
+    let (at, _, e) = model.remove(pos);
+    Some((SimTime::from_millis(at), e))
+}
+
 proptest! {
-    /// The event queue is a stable priority queue: output is sorted by
-    /// time, and equal-time events keep insertion order.
+    /// The event queue is a stable priority queue under any interleaving
+    /// of its operations: every result equals that of a `Vec` kept sorted
+    /// by `(time, scheduling order)`, its structure audits clean after
+    /// every step, and a clone taken mid-run replays the rest identically.
+    ///
+    /// Each op is `(kind, delay class, raw)`. Delay classes cover what a
+    /// run schedules — same-instant bursts, link latencies (5–150 ms),
+    /// sub-digit steps, the 5 min INFORM period — and what it does not:
+    /// keys past 2^32 ms and at the end of the representable range.
     #[test]
-    fn event_queue_is_stable_and_sorted(times in proptest::collection::vec(0u64..1000, 0..300)) {
-        let mut queue = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            queue.schedule(SimTime::from_millis(t), (t, i));
+    fn event_queue_is_stable_and_sorted(
+        ops in proptest::collection::vec((0u8..16, 0u8..6, any::<u64>()), 1..400),
+    ) {
+        // (at, seq, payload), ascending; `pop` is `remove(0)`.
+        let mut model: Vec<(u64, u64, usize)> = Vec::new();
+        let mut now = 0u64;
+        let mut queues = vec![EventQueue::new()];
+        for (i, &(kind, class, raw)) in ops.iter().enumerate() {
+            if i == ops.len() / 2 {
+                queues.push(queues[0].clone());
+            }
+            match kind {
+                0..=7 => {
+                    let at = match class {
+                        0 => now,
+                        1 => now.saturating_add(5 + raw % 146),
+                        2 => now.saturating_add(1 + raw % 15),
+                        3 => now.saturating_add(300_000),
+                        4 => now.saturating_add((1 << 32) + raw % (1 << 20)),
+                        _ => (u64::MAX - raw % 16).max(now),
+                    };
+                    let pos = model.partition_point(|&(t, _, _)| t <= at);
+                    model.insert(pos, (at, i as u64, i));
+                    for q in &mut queues {
+                        q.schedule(SimTime::from_millis(at), i);
+                    }
+                }
+                8..=10 => {
+                    let expected = take_first(&mut model, |_| true);
+                    now = expected.map_or(now, |(at, _)| at.as_millis());
+                    for q in &mut queues {
+                        prop_assert_eq!(q.pop(), expected);
+                    }
+                }
+                11 => {
+                    let deadline = now.saturating_add(raw % 200);
+                    let due = model.first().is_some_and(|&(at, _, _)| at <= deadline);
+                    let expected = if due { take_first(&mut model, |_| true) } else { None };
+                    now = expected.map_or(now, |(at, _)| at.as_millis());
+                    for q in &mut queues {
+                        prop_assert_eq!(q.pop_due(SimTime::from_millis(deadline)), expected);
+                    }
+                }
+                12 => {
+                    let expected = model.first().map(|&(at, _, e)| (SimTime::from_millis(at), e));
+                    for q in &queues {
+                        prop_assert_eq!(q.peek().map(|(at, &e)| (at, e)), expected);
+                        prop_assert_eq!(q.peek_time(), expected.map(|(at, _)| at));
+                    }
+                }
+                13 => {
+                    let (modulus, residue) = (2 + class as usize, raw as usize % 2);
+                    let expected = take_first(&mut model, |e| e % modulus == residue);
+                    for q in &mut queues {
+                        prop_assert_eq!(q.remove_where(|&e| e % modulus == residue), expected);
+                    }
+                }
+                14 => {
+                    now = now.saturating_add(raw % 100);
+                    for q in &mut queues {
+                        q.advance_clock(SimTime::from_millis(now));
+                    }
+                }
+                _ => {
+                    let mut entries: Vec<_> = queues[0].entries().map(|(at, s, &e)| (at, s, e)).collect();
+                    entries.sort();
+                    let payloads: Vec<usize> = entries.iter().map(|&(_, _, e)| e).collect();
+                    prop_assert_eq!(payloads, model.iter().map(|&(_, _, e)| e).collect::<Vec<_>>());
+                }
+            }
+            for q in &queues {
+                prop_assert_eq!(q.validate(), Ok(()));
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert_eq!(q.now(), SimTime::from_millis(now));
+            }
         }
-        let mut out = Vec::new();
-        while let Some((at, (t, i))) = queue.pop() {
-            prop_assert_eq!(at, SimTime::from_millis(t));
-            out.push((t, i));
+        let rest: Vec<(SimTime, usize)> =
+            model.iter().map(|&(at, _, e)| (SimTime::from_millis(at), e)).collect();
+        for mut q in queues {
+            prop_assert_eq!(std::iter::from_fn(|| q.pop()).collect::<Vec<_>>(), rest.clone());
+            prop_assert!(q.peak_len() <= ops.len());
         }
-        prop_assert_eq!(out.len(), times.len());
-        // Sorted by (time, insertion index): exactly a stable sort.
-        let mut expected: Vec<(u64, usize)> = times.iter().copied().zip(0..).collect();
-        expected.sort_by_key(|&(t, i)| (t, i));
-        prop_assert_eq!(out, expected);
     }
 
     /// Summary::merge is associative with respect to the data: merging
