@@ -368,7 +368,6 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
             driver: spec.driver,
             peers: peers.clone(),
             trace: Some(trace.to_string_lossy().into_owned()),
-            trace_capacity: 1 << 16,
             loss: spec.loss,
             loss_window,
             drop_first_assign: spec.drop_first_assign,

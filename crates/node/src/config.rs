@@ -127,8 +127,6 @@ pub struct NodeConfig {
     pub peers: Vec<(NodeId, String)>,
     /// Probe trace output path (JSONL), if tracing is on.
     pub trace: Option<String>,
-    /// Ring capacity for the trace recorder.
-    pub trace_capacity: usize,
     /// Injected inbound loss probability for protocol messages, applied
     /// at the codec boundary (`0.0` = lossless).
     pub loss: f64,
@@ -259,12 +257,6 @@ impl NodeConfig {
             _ => return err("node.loss_from_ms and node.loss_until_ms must be set together"),
         };
 
-        let trace_capacity = match opt_u64(node, "node", "trace_capacity")? {
-            None => 1 << 16,
-            Some(0) => return err("node.trace_capacity must be at least 1"),
-            Some(v) => v as usize,
-        };
-
         Ok(NodeConfig {
             id,
             bind,
@@ -275,7 +267,6 @@ impl NodeConfig {
             driver,
             peers: peer_list,
             trace: opt_str(node, "trace"),
-            trace_capacity,
             loss,
             loss_window,
             drop_first_assign: matches!(node.get("drop_first_assign"), Some(Value::Bool(true))),
@@ -302,7 +293,6 @@ impl NodeConfig {
         if let Some(trace) = &self.trace {
             out.push_str(&format!("trace = \"{trace}\"\n"));
         }
-        out.push_str(&format!("trace_capacity = {}\n", self.trace_capacity));
         if self.loss > 0.0 {
             out.push_str(&format!("loss = {:.4}\n", self.loss));
         }
@@ -626,8 +616,6 @@ inform_period_ms = 2000
         assert!(e.0.contains("memory_gb"), "{e}");
         let e = parse_err(&with_peer("disk_gb = -1", ""));
         assert!(e.0.contains("disk_gb"), "{e}");
-        let e = parse_err(&with_peer("trace_capacity = 0", ""));
-        assert!(e.0.contains("trace_capacity"), "{e}");
 
         // Loss windows must be well-formed pairs.
         let e = parse_err(&with_peer("loss = 0.5\nloss_from_ms = 100", ""));

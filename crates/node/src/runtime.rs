@@ -13,9 +13,9 @@
 //! * `StartTimer` outputs are armed on the [`TimerWheel`] against the
 //!   monotonic clock (an [`Instant`] anchor mapped to [`SimTime`]
 //!   milliseconds — never wall-clock time, which can step);
-//! * `Probe` outputs land in a bounded [`RingRecorder`] and are flushed
-//!   as `aria-probe-trace` JSONL on shutdown, so `cargo xtask probe`
-//!   reads live traces and simulator traces identically.
+//! * `Probe` outputs are appended to the node's `aria-probe-trace` JSONL
+//!   stream, so `cargo xtask probe` reads live traces and simulator
+//!   traces identically.
 //!
 //! Inbound datagrams cross the codec boundary, then an optional fault
 //! stage (probabilistic loss — optionally confined to a scheduled
@@ -25,20 +25,21 @@
 //! applies strictly to protocol messages; harness control frames
 //! (`Submit`, `Shutdown`) are never dropped.
 //!
-//! When tracing is on, every probe event is also appended (and flushed)
-//! to `<trace>.part` as it happens, so a SIGKILLed node still leaves
-//! its events on disk for the chaos harness; a clean shutdown writes
-//! the final `<trace>` file and removes the partial.
+//! When tracing is on, every probe event is appended (and flushed) to
+//! `<trace>.part` as it happens, so a SIGKILLed node still leaves its
+//! events on disk for the chaos harness. That stream is the node's only
+//! record: a clean shutdown writes the final `<trace>` as the header
+//! line followed by the streamed lines, and removes the partial.
 
 use crate::config::NodeConfig;
 use crate::timer::TimerWheel;
 use aria_core::driver::{Input, LiveMsg, NodeDriver, Output};
 use aria_grid::JobId;
 use aria_probe::schema;
-use aria_probe::{Probe, ProbeEvent, RingRecorder, TraceMeta};
-use aria_probe::TraceEntry;
+use aria_probe::{ProbeEvent, TraceEntry, TraceMeta};
 use aria_sim::{SimRng, SimTime};
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::io::{self, Write};
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::{Duration, Instant};
@@ -55,7 +56,7 @@ pub struct RunReport {
     pub lost: u64,
     /// Inbound protocol messages dropped by the fault stage.
     pub injected_drops: u64,
-    /// Probe events recorded (including any the ring evicted).
+    /// Probe events recorded.
     pub probe_events: u64,
 }
 
@@ -96,7 +97,7 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
     );
     let mut faults = SimRng::seed_from(config.seed ^ 0xFA01_7157_AC5E_0001);
     let mut wheel = TimerWheel::new();
-    let mut tracer = Tracer::open(config)?;
+    let mut tracer = Tracer::open(config.trace.as_deref())?;
     let mut report = RunReport::default();
     let mut armed_first_assign_drop = config.drop_first_assign;
 
@@ -179,40 +180,36 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
         )?;
     }
 
-    report.probe_events = tracer.recorder.dropped() + tracer.recorder.len() as u64;
-    if let Some(path) = &config.trace {
-        let trace = tracer.recorder.into_trace(TraceMeta {
-            scenario: "live-node".to_string(),
-            seed: config.seed,
-            nodes: config.peers.len() as u64,
-            jobs: report.completed,
-        });
-        std::fs::write(path, schema::to_jsonl(&trace))?;
-        let _ = std::fs::remove_file(format!("{path}.part"));
-    }
+    report.probe_events = tracer.seq;
+    tracer.finish(&TraceMeta {
+        scenario: "live-node".to_string(),
+        seed: config.seed,
+        nodes: config.peers.len() as u64,
+        jobs: report.completed,
+    })?;
     Ok(report)
 }
 
-/// Records probe events into the bounded ring and, when tracing is on,
-/// streams each one (flushed per line) to `<trace>.part` so a SIGKILL
-/// still leaves the node's history on disk for the chaos harness.
+/// Counts probe events and, when tracing is on, streams each one
+/// (flushed per line) to `<trace>.part` so a SIGKILL still leaves the
+/// node's history on disk for the chaos harness.
 struct Tracer {
-    recorder: RingRecorder,
-    stream: Option<std::fs::File>,
+    /// The final trace path and the open `.part` stream beside it.
+    stream: Option<(String, File)>,
     seq: u64,
 }
 
 impl Tracer {
-    fn open(config: &NodeConfig) -> io::Result<Tracer> {
-        let stream = match &config.trace {
-            Some(path) => Some(std::fs::File::create(format!("{path}.part"))?),
+    fn open(trace: Option<&str>) -> io::Result<Tracer> {
+        let stream = match trace {
+            Some(path) => Some((path.to_string(), File::create(format!("{path}.part"))?)),
             None => None,
         };
-        Ok(Tracer { recorder: RingRecorder::with_capacity(config.trace_capacity), stream, seq: 0 })
+        Ok(Tracer { stream, seq: 0 })
     }
 
     fn record(&mut self, now: SimTime, event: ProbeEvent) {
-        if let Some(file) = &mut self.stream {
+        if let Some((_, file)) = &mut self.stream {
             let entry = TraceEntry { seq: self.seq, at: now, event };
             // Flushed per line: a buffered partial would lose exactly
             // the pre-kill events the chaos harness needs.
@@ -221,12 +218,24 @@ impl Tracer {
             let _ = file.flush();
         }
         self.seq += 1;
-        self.recorder.record(now, event);
+    }
+
+    /// Writes the final trace — the header, then the streamed lines
+    /// as they are — and removes the `.part` stream.
+    fn finish(self, meta: &TraceMeta) -> io::Result<()> {
+        let Some((path, stream)) = self.stream else { return Ok(()) };
+        drop(stream);
+        let part = format!("{path}.part");
+        let mut out = io::BufWriter::new(File::create(&path)?);
+        writeln!(out, "{}", schema::header_line(meta, self.seq, 0))?;
+        io::copy(&mut File::open(&part)?, &mut out)?;
+        out.flush()?;
+        std::fs::remove_file(part)
     }
 }
 
 /// Executes one batch of driver outputs against the real transport,
-/// wheel and recorder.
+/// wheel and trace.
 #[allow(clippy::too_many_arguments)]
 fn execute(
     driver: &mut NodeDriver,
@@ -278,5 +287,37 @@ fn msg_job(msg: &LiveMsg) -> Option<JobId> {
         LiveMsg::Join { .. } | LiveMsg::Leave { .. } | LiveMsg::Heartbeat { .. } | LiveMsg::Shutdown => {
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn final_trace_is_the_streamed_lines_under_a_header() {
+        let dir = std::env::temp_dir().join(format!("aria-node-tracer-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("node.jsonl").to_string_lossy().into_owned();
+        let mut tracer = Tracer::open(Some(&path)).unwrap();
+        // More events than any fixed-size ring would keep.
+        let events = 70_000u64;
+        for i in 0..events {
+            tracer.record(SimTime::from_millis(i / 3), ProbeEvent::JobLost { job: JobId::new(i) });
+        }
+        let streamed = std::fs::read_to_string(format!("{path}.part")).unwrap();
+        let meta = TraceMeta { scenario: "live-node".to_string(), seed: 9, nodes: 4, jobs: 0 };
+        tracer.finish(&meta).unwrap();
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!std::path::Path::new(&format!("{path}.part")).exists(), "the partial is removed");
+        let trace = schema::from_jsonl(&text).expect("the final trace is schema-valid");
+        assert_eq!((trace.recorded(), trace.dropped), (events, 0));
+        let lines: Vec<&str> = streamed.lines().collect();
+        assert_eq!(lines.len(), trace.entries.len());
+        for (line, entry) in lines.iter().zip(&trace.entries) {
+            assert_eq!(*line, schema::entry_line(entry), "entry {} differs", entry.seq);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

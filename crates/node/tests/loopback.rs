@@ -15,7 +15,7 @@ use aria_grid::{
     Policy,
 };
 use aria_node::cluster::{run_cluster, ClusterSpec};
-use aria_probe::ProbeEvent;
+use aria_probe::{schema, ProbeEvent};
 use aria_sim::SimDuration;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -130,4 +130,14 @@ fn lossy_five_node_cluster_conserves_every_job() {
         assert!(started, "{} has a started event", spec.id);
     }
     assert!(outcome.merged_path.is_file(), "merged JSONL written to disk");
+
+    // Each node's streamed trace became its final file, whole: the
+    // partial is gone and nothing was dropped.
+    for i in 0..spec.nodes {
+        let path = spec.dir.join(format!("node-{i}.jsonl"));
+        let trace = schema::from_jsonl(&std::fs::read_to_string(&path).expect("final trace"))
+            .expect("final trace is schema-valid");
+        assert_eq!(trace.dropped, 0, "{}", path.display());
+        assert!(!path.with_extension("jsonl.part").exists(), "{} left its partial", path.display());
+    }
 }

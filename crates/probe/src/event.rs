@@ -5,85 +5,164 @@
 //! trait never allocates, so the hot path stays allocation-free whether
 //! the probe is a ring recorder or the no-op [`NullProbe`].
 //!
+//! Every kind is declared once, in the `probe_events!` table below: its
+//! variant, wire name, the schema version that introduced it, and its
+//! fields in wire order. The table generates the enum, [`ProbeEvent::kind`],
+//! [`ProbeEvent::since`] and the per-kind JSONL writer and reader that
+//! [`crate::schema`] drives. A field's wire key is its name, unless the
+//! row renames it (`kind as flood_kind`).
+//!
 //! [`Probe`]: crate::Probe
 //! [`NullProbe`]: crate::NullProbe
 
+use crate::schema::{push_escaped, put, Field, Fields, JsonValue, SchemaError};
 use aria_grid::JobId;
 use aria_overlay::NodeId;
 use std::fmt;
 
-/// Which flood a hop or bid belongs to: a REQUEST discovery round or an
-/// INFORM rescheduling advertisement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FloodKind {
-    /// REQUEST flood (§III-B job advertisement).
-    Request,
-    /// INFORM flood (§III-D rescheduling advertisement).
-    Inform,
+/// A fieldless enum whose variants travel by name: one table gives both
+/// directions, [`name`](FloodKind::name) and the trace field encoding.
+macro_rules! named_enum {
+    ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident = $wire:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $name {
+            /// Stable schema name.
+            pub const fn name(self) -> &'static str {
+                match self { $($name::$variant => $wire,)* }
+            }
+        }
+
+        impl Field for $name {
+            const EXPECTED: &'static str = "a known name";
+            fn write(self, out: &mut String) {
+                push_escaped(out, self.name());
+            }
+            fn read(value: &JsonValue<'_>) -> Option<Self> {
+                match value {
+                    JsonValue::Str(name) => match name.as_ref() {
+                        $($wire => Some($name::$variant),)*
+                        _ => None,
+                    },
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-impl FloodKind {
-    /// Stable schema name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            FloodKind::Request => "request",
-            FloodKind::Inform => "inform",
-        }
+named_enum! {
+    /// Which flood a hop or bid belongs to: a REQUEST discovery round or an
+    /// INFORM rescheduling advertisement.
+    FloodKind {
+        /// REQUEST flood (§III-B job advertisement).
+        Request = "request",
+        /// INFORM flood (§III-D rescheduling advertisement).
+        Inform = "inform",
     }
 }
 
-/// The wire message class of a dropped message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MsgKind {
-    /// REQUEST flood hop.
-    Request,
-    /// ACCEPT cost offer.
-    Accept,
-    /// INFORM flood hop.
-    Inform,
-    /// ASSIGN delegation.
-    Assign,
-    /// ACK delivery acknowledgement (fault-layer ASSIGN hardening;
-    /// schema v2).
-    Ack,
-}
-
-impl MsgKind {
-    /// Stable schema name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            MsgKind::Request => "request",
-            MsgKind::Accept => "accept",
-            MsgKind::Inform => "inform",
-            MsgKind::Assign => "assign",
-            MsgKind::Ack => "ack",
-        }
+named_enum! {
+    /// The wire message class of a dropped message.
+    MsgKind {
+        /// REQUEST flood hop.
+        Request = "request",
+        /// ACCEPT cost offer.
+        Accept = "accept",
+        /// INFORM flood hop.
+        Inform = "inform",
+        /// ASSIGN delegation.
+        Assign = "assign",
+        /// ACK delivery acknowledgement (fault-layer ASSIGN hardening;
+        /// schema v2).
+        Ack = "ack",
     }
 }
 
-/// One observable protocol transition.
-///
-/// Every variant is stamped with the sim-time at which the transition
-/// happened when it is recorded (see [`TraceEntry`]); the payloads here
-/// carry only the *what*, never wall-clock data.
-///
-/// Costs are carried as raw scheduler-cost milliseconds
-/// ([`aria_grid::Cost::as_millis`]) so the event stays `Copy` and the
-/// JSONL schema stays integer-only.
-///
-/// [`TraceEntry`]: crate::TraceEntry
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeEvent {
+/// The wire key of a table field: its name, or the `as` rename.
+macro_rules! wire_key {
+    ($field:ident) => { stringify!($field) };
+    ($field:ident $key:ident) => { stringify!($key) };
+}
+
+/// Generates [`ProbeEvent`] and its schema plumbing from one row per
+/// kind: `Variant "wire-name" since { field [as key]: Type, … }`.
+macro_rules! probe_events {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident $wire:literal $since:literal {
+            $($(#[$fmeta:meta])* $field:ident $(as $key:ident)?: $ty:ty,)*
+        }
+    )*) => {
+        /// One observable protocol transition.
+        ///
+        /// Every variant is stamped with the sim-time at which the
+        /// transition happened when it is recorded (see [`TraceEntry`]);
+        /// the payloads here carry only the *what*, never wall-clock data.
+        ///
+        /// Costs are carried as raw scheduler-cost milliseconds
+        /// ([`aria_grid::Cost::as_millis`]) so the event stays `Copy` and
+        /// the JSONL schema stays integer-only.
+        ///
+        /// [`TraceEntry`]: crate::TraceEntry
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum ProbeEvent {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $ty,)* },)*
+        }
+
+        impl ProbeEvent {
+            /// Stable schema name of this event kind (the JSONL `"kind"`).
+            pub const fn kind(&self) -> &'static str {
+                match self { $(ProbeEvent::$variant { .. } => $wire,)* }
+            }
+
+            /// The schema version that introduced this kind: a trace
+            /// stamped with an older version cannot carry it.
+            pub const fn since(&self) -> u64 {
+                match self { $(ProbeEvent::$variant { .. } => $since,)* }
+            }
+
+            /// Appends this event's fields, in wire order, to a trace line.
+            pub(crate) fn write_fields(&self, out: &mut String) {
+                match *self {
+                    $(ProbeEvent::$variant { $($field),* } => {
+                        $(put(out, wire_key!($field $($key)?), $field);)*
+                    })*
+                }
+            }
+
+            /// Reads the event of wire kind `kind` from a parsed line.
+            pub(crate) fn read_fields(kind: &str, fields: &Fields<'_>) -> Result<Self, SchemaError> {
+                Ok(match kind {
+                    $($wire => ProbeEvent::$variant {
+                        $($field: fields.get(wire_key!($field $($key)?))?,)*
+                    },)*
+                    other => return Err(fields.error(format!("unknown event kind \"{other}\""))),
+                })
+            }
+        }
+
+        /// Every wire kind name, in table order.
+        #[cfg(test)]
+        pub(crate) const KINDS: &[&str] = &[$($wire),*];
+    };
+}
+
+probe_events! {
     /// A job entered the grid at its initiator (§III-B).
-    JobSubmitted {
+    JobSubmitted "job-submitted" 1 {
         /// The submitted job.
         job: JobId,
         /// The node it was submitted to.
         initiator: NodeId,
-    },
+    }
     /// The initiator opened a REQUEST round: a fresh flood was seeded and
     /// the offer window scheduled.
-    RequestRound {
+    RequestRound "request-round" 1 {
         /// The advertised job.
         job: JobId,
         /// The flooding initiator.
@@ -94,11 +173,11 @@ pub enum ProbeEvent {
         flood: u32,
         /// Number of neighbors the flood was seeded to.
         seeds: u32,
-    },
+    }
     /// A flood hop arrived at a node (REQUEST or INFORM).
-    FloodHop {
+    FloodHop "flood-hop" 1 {
         /// REQUEST or INFORM flood.
-        kind: FloodKind,
+        kind as flood_kind: FloodKind,
         /// The advertised job.
         job: JobId,
         /// Flood id the hop belongs to.
@@ -109,11 +188,11 @@ pub enum ProbeEvent {
         hops_left: u32,
         /// Whether duplicate suppression discarded the hop.
         duplicate: bool,
-    },
+    }
     /// A node answered a flood with an ACCEPT cost offer (§III-C).
-    BidSent {
+    BidSent "bid-sent" 1 {
         /// Flood kind the bid answers.
-        kind: FloodKind,
+        kind as flood_kind: FloodKind,
         /// The job being bid on.
         job: JobId,
         /// The offering node.
@@ -122,9 +201,9 @@ pub enum ProbeEvent {
         to: NodeId,
         /// Offered cost in scheduler-cost milliseconds.
         cost_ms: i64,
-    },
+    }
     /// An ACCEPT landed inside an open offer window at the initiator.
-    OfferReceived {
+    OfferReceived "offer-received" 1 {
         /// The job the offer concerns.
         job: JobId,
         /// The collecting initiator.
@@ -135,10 +214,10 @@ pub enum ProbeEvent {
         cost_ms: i64,
         /// Whether this offer became the current best.
         best: bool,
-    },
+    }
     /// A job was delegated with ASSIGN — initial assignment when
     /// `reschedule` is false, an INFORM-triggered steal otherwise.
-    Assigned {
+    Assigned "assigned" 1 {
         /// The delegated job.
         job: JobId,
         /// The assigning node (initiator, or current holder on a steal).
@@ -148,48 +227,48 @@ pub enum ProbeEvent {
         /// Whether this is a §III-D reschedule rather than the initial
         /// assignment.
         reschedule: bool,
-    },
+    }
     /// An offer window closed empty; a fresh REQUEST round was scheduled.
-    RetryScheduled {
+    RetryScheduled "retry-scheduled" 1 {
         /// The unplaced job.
         job: JobId,
         /// The retrying initiator.
         initiator: NodeId,
         /// The upcoming round number.
         round: u32,
-    },
+    }
     /// The initiator gave up on a job after exhausting its retry budget.
-    JobAbandoned {
+    JobAbandoned "job-abandoned" 1 {
         /// The abandoned job.
         job: JobId,
         /// The abandoning initiator.
         initiator: NodeId,
-    },
+    }
     /// A job entered a node's scheduler queue.
-    Enqueued {
+    Enqueued "enqueued" 1 {
         /// The queued job.
         job: JobId,
         /// The executing node.
         node: NodeId,
         /// Waiting-queue depth after the insert.
         depth: u32,
-    },
+    }
     /// A job left the waiting queue and began executing.
-    Started {
+    Started "started" 1 {
         /// The started job.
         job: JobId,
         /// The executing node.
         node: NodeId,
-    },
+    }
     /// A job finished executing.
-    Completed {
+    Completed "completed" 1 {
         /// The finished job.
         job: JobId,
         /// The executing node.
         node: NodeId,
-    },
+    }
     /// A waiting job's assignee flooded an INFORM advertisement (§III-D).
-    InformRound {
+    InformRound "inform-round" 1 {
         /// The advertised job.
         job: JobId,
         /// The current assignee.
@@ -198,114 +277,114 @@ pub enum ProbeEvent {
         flood: u32,
         /// The assignee's advertised cost in scheduler-cost milliseconds.
         cost_ms: i64,
-    },
+    }
     /// A node joined the overlay mid-run (§V-D churn).
-    NodeJoined {
+    NodeJoined "node-joined" 1 {
         /// The new node.
         node: NodeId,
-    },
+    }
     /// A node crashed, dropping its queue and in-flight work.
-    NodeCrashed {
+    NodeCrashed "node-crashed" 1 {
         /// The crashed node.
         node: NodeId,
         /// Jobs resident on the node at crash time.
         lost_jobs: u32,
-    },
+    }
     /// The failsafe initiator noticed a dead assignee and re-advertised
     /// the job (§III-E).
-    RecoveryStarted {
+    RecoveryStarted "recovery-started" 1 {
         /// The recovered job.
         job: JobId,
         /// The initiator running the failsafe.
         initiator: NodeId,
-    },
+    }
     /// A job was lost for good (dead initiator, failsafe disabled, …).
-    JobLost {
+    JobLost "job-lost" 1 {
         /// The lost job.
         job: JobId,
-    },
+    }
     /// A message addressed to a crashed node — or claimed by the fault
     /// layer (loss, open partition cut) — was dropped by the transport.
-    MessageDropped {
+    MessageDropped "message-dropped" 1 {
         /// Wire class of the dropped message.
-        kind: MsgKind,
+        kind as msg_kind: MsgKind,
         /// The job the message concerned.
         job: JobId,
         /// The unreachable destination.
         to: NodeId,
-    },
+    }
     /// An unacknowledged ASSIGN was retransmitted by the fault-layer
-    /// hardening (schema v2).
-    AssignRetransmit {
+    /// hardening.
+    AssignRetransmit "assign-retransmit" 2 {
         /// The job whose ASSIGN went unacknowledged.
         job: JobId,
         /// The assignee being retried.
         to: NodeId,
         /// Retry attempt number (1 = first retransmit).
         attempt: u32,
-    },
+    }
     /// An assignee's ACK reached the assigner; the retransmit timer is
-    /// disarmed (schema v2).
-    AckReceived {
+    /// disarmed.
+    AckReceived "ack-received" 2 {
         /// The acknowledged job.
         job: JobId,
         /// The acknowledging assignee.
         from: NodeId,
-    },
+    }
     /// A duplicate delivery was recognized and suppressed instead of
-    /// re-applied (schema v2). Flood duplicates keep reporting through
+    /// re-applied. Flood duplicates keep reporting through
     /// [`ProbeEvent::FloodHop`] `duplicate`; this covers the
     /// point-to-point kinds.
-    DuplicateSuppressed {
+    DuplicateSuppressed "duplicate-suppressed" 2 {
         /// Wire class of the suppressed duplicate.
-        kind: MsgKind,
+        kind as msg_kind: MsgKind,
         /// The job the duplicate concerned.
         job: JobId,
         /// The node that suppressed it.
         node: NodeId,
-    },
-    /// A scheduled overlay partition window opened (schema v2).
-    PartitionStarted {
+    }
+    /// A scheduled overlay partition window opened.
+    PartitionStarted "partition-started" 2 {
         /// Index of the window in the fault plan.
         window: u32,
-    },
-    /// A scheduled overlay partition window healed (schema v2).
-    PartitionHealed {
+    }
+    /// A scheduled overlay partition window healed.
+    PartitionHealed "partition-healed" 2 {
         /// Index of the window in the fault plan.
         window: u32,
-    },
-    /// A failure detector marked a silent peer as suspected (schema v4).
+    }
+    /// A failure detector marked a silent peer as suspected.
     ///
     /// Suspicion is telemetry-only: the peer stays in fan-out sampling
     /// and bid candidacy until it is declared dead.
-    PeerSuspected {
+    PeerSuspected "peer-suspected" 4 {
         /// The silent peer.
         peer: NodeId,
         /// The node whose detector raised the suspicion.
         by: NodeId,
-    },
-    /// A failure detector declared a peer dead (schema v4): excluded
-    /// from fan-out and assignment, delegations to it recovered.
-    PeerDead {
+    }
+    /// A failure detector declared a peer dead: excluded from fan-out and
+    /// assignment, delegations to it recovered.
+    PeerDead "peer-dead" 4 {
         /// The dead peer.
         peer: NodeId,
         /// The node whose detector declared it.
         by: NodeId,
-    },
+    }
     /// A previously dead peer came back (restart or partition heal) and
-    /// re-entered live membership (schema v4).
-    PeerRejoined {
+    /// re-entered live membership.
+    PeerRejoined "peer-rejoined" 4 {
         /// The returning peer.
         peer: NodeId,
         /// The node whose detector readmitted it.
         by: NodeId,
-    },
+    }
     /// Periodic world sample: node occupancy and event-queue pressure.
     ///
-    /// All four gauges are u64 (schema v3): at 100k+ node scales the
+    /// All four gauges are u64 since schema v3: at 100k+ node scales the
     /// queued-job and event-queue counts overflow the u32s they were
     /// first recorded as.
-    Gauge {
+    Gauge "gauge" 1 {
         /// Nodes with an empty scheduler.
         idle: u64,
         /// Jobs waiting in scheduler queues, grid-wide.
@@ -314,42 +393,10 @@ pub enum ProbeEvent {
         pending_events: u64,
         /// High-water mark of the event queue so far.
         peak_events: u64,
-    },
+    }
 }
 
 impl ProbeEvent {
-    /// Stable schema name of this event kind (the JSONL `"kind"` field).
-    pub const fn kind(&self) -> &'static str {
-        match self {
-            ProbeEvent::JobSubmitted { .. } => "job-submitted",
-            ProbeEvent::RequestRound { .. } => "request-round",
-            ProbeEvent::FloodHop { .. } => "flood-hop",
-            ProbeEvent::BidSent { .. } => "bid-sent",
-            ProbeEvent::OfferReceived { .. } => "offer-received",
-            ProbeEvent::Assigned { .. } => "assigned",
-            ProbeEvent::RetryScheduled { .. } => "retry-scheduled",
-            ProbeEvent::JobAbandoned { .. } => "job-abandoned",
-            ProbeEvent::Enqueued { .. } => "enqueued",
-            ProbeEvent::Started { .. } => "started",
-            ProbeEvent::Completed { .. } => "completed",
-            ProbeEvent::InformRound { .. } => "inform-round",
-            ProbeEvent::NodeJoined { .. } => "node-joined",
-            ProbeEvent::NodeCrashed { .. } => "node-crashed",
-            ProbeEvent::RecoveryStarted { .. } => "recovery-started",
-            ProbeEvent::JobLost { .. } => "job-lost",
-            ProbeEvent::MessageDropped { .. } => "message-dropped",
-            ProbeEvent::AssignRetransmit { .. } => "assign-retransmit",
-            ProbeEvent::AckReceived { .. } => "ack-received",
-            ProbeEvent::DuplicateSuppressed { .. } => "duplicate-suppressed",
-            ProbeEvent::PartitionStarted { .. } => "partition-started",
-            ProbeEvent::PartitionHealed { .. } => "partition-healed",
-            ProbeEvent::PeerSuspected { .. } => "peer-suspected",
-            ProbeEvent::PeerDead { .. } => "peer-dead",
-            ProbeEvent::PeerRejoined { .. } => "peer-rejoined",
-            ProbeEvent::Gauge { .. } => "gauge",
-        }
-    }
-
     /// The job this event concerns, if any.
     pub const fn job(&self) -> Option<JobId> {
         match *self {
@@ -551,5 +598,20 @@ mod tests {
             reschedule: true,
         };
         assert_eq!(e.to_string(), "job-000001 rescheduled: n0 yields to n9");
+    }
+
+    #[test]
+    fn name_tables_roundtrip() {
+        fn read(name: &str) -> JsonValue<'_> {
+            JsonValue::Str(name.into())
+        }
+        for kind in [FloodKind::Request, FloodKind::Inform] {
+            assert_eq!(FloodKind::read(&read(kind.name())), Some(kind));
+        }
+        let msgs = [MsgKind::Request, MsgKind::Accept, MsgKind::Inform, MsgKind::Assign, MsgKind::Ack];
+        for kind in msgs {
+            assert_eq!(MsgKind::read(&read(kind.name())), Some(kind));
+        }
+        assert_eq!(MsgKind::read(&read("heartbeat")), None);
     }
 }

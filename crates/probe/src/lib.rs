@@ -97,7 +97,8 @@ pub trait Probe {
 ///
 /// `World<NullProbe>` is the uninstrumented simulator — the empty
 /// `record` body is inlined and dead-code eliminated, which is verified
-/// by the `bench_core` gate (±2%) and the bit-for-bit goldens.
+/// by the bit-for-bit determinism, invariants and probe goldens and by
+/// the `perfbench` `sim_paper` workload (its pin and its `run_s`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullProbe;
 

@@ -12,12 +12,36 @@
 //! 3. Trace diffing is a determinism oracle: same-seed traces never
 //!    diverge, and different-seed traces report a located first
 //!    divergent event rather than a bare mismatch.
+//!
+//! The exported bytes themselves are pinned too, and corrupted copies of
+//! the export must fail with a `SchemaError`, never a panic.
 
 use aria_probe::{first_divergence, lifecycles, schema, summarize, Trace};
 use aria_scenarios::{Runner, RunStats, Scenario};
+use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn traced(seed: u64) -> (RunStats, Trace) {
     Runner::scaled(30, 15).run_once_traced(Scenario::IMixed, seed)
+}
+
+/// The JSONL export of the seed-11 trace, built once per test binary.
+fn exported() -> &'static str {
+    static TEXT: OnceLock<String> = OnceLock::new();
+    TEXT.get_or_init(|| schema::to_jsonl(&traced(11).1))
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Parses `text`; anything accepted must survive a second round trip.
+fn parse_stably(text: &str) -> Result<Trace, schema::SchemaError> {
+    let parsed = schema::from_jsonl(text)?;
+    assert_eq!(schema::from_jsonl(&schema::to_jsonl(&parsed)).as_ref(), Ok(&parsed));
+    Ok(parsed)
 }
 
 #[test]
@@ -46,6 +70,43 @@ fn probed_run_exports_schema_valid_jsonl_with_complete_lifecycles() {
     assert_eq!(summary.events, trace.entries.len() as u64);
     assert!(summary.request_rounds >= trace.meta.jobs, "each job opens at least one round");
     assert!(summary.offers > 0, "an iMixed run must collect ACCEPT offers");
+}
+
+#[test]
+fn exported_jsonl_is_byte_identical() {
+    // Recorded from the hand-written per-kind writer that the event table
+    // replaced: the generated writer must emit exactly the same bytes.
+    let text = exported();
+    assert_eq!((text.len(), fnv1a(text.as_bytes())), (140_054, 0xec53_f039_0e0d_d159));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn corrupted_exports_yield_ok_or_schema_error(
+        cut in 0..exported().len(),
+        flip in (0..exported().len(), any::<u8>()),
+        splice in (0..exported().len(), 0..exported().len()),
+        copy in (0..exported().lines().count(), 0..exported().lines().count()),
+    ) {
+        let text = exported();
+        let lossy = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+        // Truncated: only dropping the final newline keeps the file whole.
+        let truncated = parse_stably(&lossy(&text.as_bytes()[..cut]));
+        prop_assert_eq!(truncated.is_ok(), cut == text.len() - 1);
+        // One byte overwritten.
+        let mut flipped = text.as_bytes().to_vec();
+        flipped[flip.0] = flip.1;
+        let _ = parse_stably(&lossy(&flipped));
+        // Spliced: the head of one line joined to the tail of a later one.
+        let (from, to) = (splice.0.min(splice.1), splice.0.max(splice.1));
+        let _ = parse_stably(&lossy(&[&text.as_bytes()[..from], &text.as_bytes()[to..]].concat()));
+        // One line copied over another: a header out of place or a
+        // repeated seq, so only copying a line onto itself survives.
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[copy.1] = lines[copy.0];
+        prop_assert_eq!(parse_stably(&lines.join("\n")).is_ok(), copy.0 == copy.1);
+    }
 }
 
 #[test]
