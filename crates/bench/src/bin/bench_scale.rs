@@ -34,6 +34,8 @@
 // entire purpose; the workspace determinism ban on `Instant` (clippy.toml,
 // mirrored by `cargo xtask lint`) deliberately does not apply here.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![forbid(unsafe_code)]
+#![deny(rust_2018_idioms)]
 
 use aria_core::{OverlayKind, World, WorldConfig};
 use aria_sim::{SimDuration, SimTime};

@@ -12,7 +12,7 @@
 //! * [`FaultPlan::none`] (the default) is **bit-for-bit inert**: the
 //!   world skips the fault path entirely (no RNG fork, no draws, no
 //!   bookkeeping), so the determinism/invariant/probe goldens and the
-//!   `bench_core` numbers are unchanged.
+//!   `perfbench` fingerprints (`perfbench/pins.txt`) are unchanged.
 //! * Every fault that *fires* is assigned a sequential **injection
 //!   index** and recorded in the world's fault log. The chaos harness
 //!   (`cargo xtask chaos`) shrinks a failing schedule by re-running with

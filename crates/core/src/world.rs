@@ -134,8 +134,9 @@ pub(crate) struct NodeState {
 /// The world is generic over a [`Probe`] sink and calls
 /// [`Probe::record`] at every protocol transition. The default
 /// `World<NullProbe>` monomorphizes those calls to nothing — the
-/// uninstrumented hot path, bit-for-bit and (per `bench_core`)
-/// cycle-for-cycle. Build an instrumented world with
+/// uninstrumented hot path that `perfbench`'s `sim_paper` times
+/// (`probe.record.ring_overhead_ratio` is a recorder's cost over it).
+/// Build an instrumented world with
 /// [`World::with_probe`] (e.g. an `aria_probe::RingRecorder`) and
 /// extract the recording with [`World::into_probe`] after the run.
 /// Probes observe only: they receive copies of protocol facts and

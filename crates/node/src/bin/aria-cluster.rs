@@ -27,6 +27,9 @@
 //! `peer-dead` (and, with restarts, `peer-rejoined`) probe events in
 //! the merged trace.
 
+#![forbid(unsafe_code)]
+#![deny(rust_2018_idioms)]
+
 use aria_core::config::ProtocolTiming;
 use aria_core::driver::{DriverConfig, MembershipConfig};
 use aria_core::AriaConfig;

@@ -4,6 +4,9 @@
 //! runs the sans-io protocol driver until a `Shutdown` frame arrives,
 //! then flushes its probe trace (JSONL) and prints a one-line report.
 
+#![forbid(unsafe_code)]
+#![deny(rust_2018_idioms)]
+
 use aria_node::config::NodeConfig;
 
 fn main() {

@@ -1,12 +1,14 @@
 //! Reproduces the ARiA paper's tables and figures.
 //!
 //! ```text
-//! reproduce [IDS...] [--seeds N] [--scale NODES JOBS] [--workers W]
+//! reproduce [IDS...] [--seeds N] [--scale NODES JOBS] [--workers W] [--out DIR]
 //!
-//! IDS      table1 table2 fig1 .. fig10 all    (default: all)
-//! --seeds  number of seeds per scenario       (default: 10, paper value)
-//! --scale  shrink the grid for quick runs     (default: paper scale)
-//! --workers worker threads                    (default: all cores)
+//! IDS       table1 table2 fig1 .. fig10 baselines ablations all
+//!                                              (default: all)
+//! --seeds   number of seeds per scenario       (default: 10, paper value)
+//! --scale   shrink the grid for quick runs     (default: paper scale)
+//! --workers worker threads                     (default: all cores)
+//! --out     also write each artifact to DIR/<id>.txt
 //! ```
 //!
 //! Examples:
@@ -15,7 +17,11 @@
 //! cargo run --release -p aria-scenarios --bin reproduce -- all
 //! cargo run --release -p aria-scenarios --bin reproduce -- fig4 fig10 --seeds 3
 //! cargo run --release -p aria-scenarios --bin reproduce -- fig1 --scale 100 200
+//! cargo run --release -p aria-scenarios --bin reproduce -- ablations --out results
 //! ```
+
+#![forbid(unsafe_code)]
+#![deny(rust_2018_idioms)]
 
 use aria_probe::{Progress, ProgressSink, StderrSink};
 use aria_scenarios::{Campaign, Runner};
@@ -130,7 +136,7 @@ fn main() -> ExitCode {
             }
             None => {
                 eprintln!(
-                    "unknown artifact id: {id} (expected table1, table2, fig1..fig10, baselines, all)"
+                    "unknown artifact id: {id} (expected table1, table2, fig1..fig10, baselines, ablations, all)"
                 );
                 return ExitCode::FAILURE;
             }

@@ -17,9 +17,11 @@
 //! cargo run --release -p aria-scenarios --bin run-scenario -- iMixed --seed 3 --out /tmp/imixed
 //! ```
 
-use aria_core::World;
-use aria_scenarios::Scenario;
-use aria_workload::{JobGenerator, SubmissionSchedule};
+#![forbid(unsafe_code)]
+#![deny(rust_2018_idioms)]
+
+use aria_probe::NullProbe;
+use aria_scenarios::{Runner, Scenario};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -78,29 +80,19 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut config = args.scenario.world_config();
-    let mut schedule = args.scenario.submission_schedule();
-    if let Some((nodes, jobs)) = args.scale {
-        let shrink = nodes as f64 / config.nodes as f64;
-        // det:allow(lossy-float-cast): shrink <= 1, so round(len * shrink) fits
-        let keep = (config.joins.len() as f64 * shrink).round() as usize;
-        config.nodes = nodes;
-        config.joins.truncate(keep);
-        config.overlay_path_length = config.overlay_path_length.min((nodes as f64).log2());
-        schedule = SubmissionSchedule::new(schedule.start(), schedule.interval(), jobs);
-    }
-
+    let runner = match args.scale {
+        Some((nodes, jobs)) => Runner::scaled(nodes, jobs),
+        None => Runner::paper(),
+    };
+    let config = runner.config_for(args.scenario);
     eprintln!(
         "running {} (seed {}, {} nodes, {} jobs)...",
         args.scenario,
         args.seed,
         config.nodes,
-        schedule.count()
+        runner.schedule_for(args.scenario).count()
     );
-    let mut world = World::new(config, args.seed);
-    let mut jobs = JobGenerator::new(args.scenario.job_config());
-    world.submit_schedule(&schedule, &mut jobs);
-    world.run();
+    let (_, world) = runner.run_config(args.scenario, config, args.seed, false, NullProbe);
 
     let metrics = world.metrics();
     let dir = args.out.unwrap_or_else(|| {

@@ -322,13 +322,79 @@ scheduler,completion_s,waiting_s,messages
         out
     }
 
+    /// Beyond the paper: the design-choice ablations (DESIGN.md §7) at
+    /// the campaign's scale and seeds. Each row runs iMixed's workload
+    /// on an edit of its world config: matching nodes keep
+    /// forwarding the REQUEST flood or not, the overlay family and the
+    /// local scheduler (the paper's §VI future work), and strict FCFS
+    /// against EASY backfill under moderate advance reservations.
+    pub fn ablations(&mut self) -> String {
+        use aria_core::{OverlayKind, PolicyMix, ReservationPlan, WorldConfig};
+        use aria_grid::Policy;
+
+        type Edit = fn(&mut WorldConfig);
+        let rows: [(&str, &str, Edit); 12] = [
+            ("forward_on_match", "false", |c| c.aria.forward_on_match = false),
+            ("forward_on_match", "true", |c| c.aria.forward_on_match = true),
+            ("overlay", "blatant", |c| c.overlay = OverlayKind::Blatant),
+            ("overlay", "random_regular_4", |c| {
+                c.overlay = OverlayKind::RandomRegular { degree: 4 }
+            }),
+            ("overlay", "small_world_4_0.2", |c| {
+                c.overlay = OverlayKind::SmallWorld { k: 4, beta: 0.2 }
+            }),
+            ("overlay", "ring", |c| c.overlay = OverlayKind::Ring),
+            ("policies", "FCFS", |c| c.policies = PolicyMix::Uniform(Policy::Fcfs)),
+            ("policies", "SJF", |c| c.policies = PolicyMix::Uniform(Policy::Sjf)),
+            ("policies", "LJF", |c| c.policies = PolicyMix::Uniform(Policy::Ljf)),
+            ("policies", "PRIORITY", |c| c.policies = PolicyMix::Uniform(Policy::Priority)),
+            ("reservations", "FCFS", |c| {
+                c.reservations = Some(ReservationPlan::moderate());
+                c.policies = PolicyMix::Uniform(Policy::Fcfs);
+            }),
+            ("reservations", "BACKFILL", |c| {
+                c.reservations = Some(ReservationPlan::moderate());
+                c.policies = PolicyMix::Uniform(Policy::Backfill);
+            }),
+        ];
+        let base = self.runner.config_for(Scenario::IMixed);
+        let configs: Vec<WorldConfig> = rows
+            .iter()
+            .map(|(_, _, edit)| {
+                let mut config = base.clone();
+                edit(&mut config);
+                config
+            })
+            .collect();
+        let results = self.runner.run_configs(Scenario::IMixed, &configs, &self.seeds);
+        let jobs = self.runner.schedule_for(Scenario::IMixed).count() as f64;
+
+        let mut out = String::from(
+            "# Ablations: iMixed with one design choice varied
+ablation,variant,completion_s,waiting_s,request_msgs_per_job,accept_msgs_per_job,messages
+",
+        );
+        for ((ablation, variant, _), r) in rows.iter().zip(&results) {
+            let _ = writeln!(
+                out,
+                "{ablation},{variant},{:.0},{:.0},{:.1},{:.1},{:.0}",
+                r.completion().mean(),
+                r.waiting().mean(),
+                r.avg_messages(TrafficClass::Request) / jobs,
+                r.avg_messages(TrafficClass::Accept) / jobs,
+                r.avg_over_runs(|run| run.traffic.total_messages() as f64),
+            );
+        }
+        out
+    }
+
     /// All tables and figures, in order.
     pub fn all(&mut self) -> String {
         let mut out = String::new();
         out.push_str(&self.table1());
         out.push('\n');
         out.push_str(&self.table2());
-        for (i, fig) in [
+        for fig in [
             Self::fig1 as fn(&mut Self) -> String,
             Self::fig2,
             Self::fig3,
@@ -340,19 +406,16 @@ scheduler,completion_s,waiting_s,messages
             Self::fig9,
             Self::fig10,
             Self::baselines,
-        ]
-        .iter()
-        .enumerate()
-        {
-            let _ = i;
+            Self::ablations,
+        ] {
             out.push('\n');
             out.push_str(&fig(self));
         }
         out
     }
 
-    /// Renders one artifact by its id (`table1`, `table2`, `fig1`..`fig10`
-    /// or `all`). Returns `None` for unknown ids.
+    /// Renders one artifact by its id (`table1`, `table2`, `fig1`..`fig10`,
+    /// `baselines`, `ablations` or `all`). Returns `None` for unknown ids.
     pub fn render(&mut self, id: &str) -> Option<String> {
         let id = id.to_ascii_lowercase();
         Some(match id.as_str() {
@@ -369,6 +432,7 @@ scheduler,completion_s,waiting_s,messages
             "fig9" => self.fig9(),
             "fig10" => self.fig10(),
             "baselines" => self.baselines(),
+            "ablations" => self.ablations(),
             "all" => self.all(),
             _ => return None,
         })
@@ -488,6 +552,7 @@ mod tests {
         let mut c = campaign();
         assert!(c.render("table1").is_some());
         assert!(c.render("TABLE2").is_some());
+        assert!(c.render("ABLATIONS").is_some());
         assert!(c.render("nope").is_none());
     }
 

@@ -1,7 +1,7 @@
 //! Multi-seed scenario execution.
 
 use crate::catalog::Scenario;
-use aria_core::World;
+use aria_core::{World, WorldConfig};
 use aria_metrics::{DeadlineStats, TrafficClass, TrafficLedger};
 use aria_probe::{NullProbe, Probe, RingRecorder, Trace, TraceMeta};
 use aria_sim::{Summary, TimeSeries};
@@ -301,7 +301,27 @@ impl Runner {
         checked: bool,
         probe: P,
     ) -> (RunStats, World<P>) {
-        let mut world = self.build_world(scenario, seed, fault, probe);
+        let mut config = self.config_for(scenario);
+        config.fault = fault;
+        self.run_config(scenario, config, seed, checked, probe)
+    }
+
+    /// Runs `scenario`'s workload (under this runner's job count) on an
+    /// explicit world configuration — normally an edited copy of
+    /// [`Runner::config_for`] — with the probe attached. Every
+    /// `run_once*` entry point ends here; the ablation campaign calls it
+    /// with edits of iMixed's config.
+    pub fn run_config<P: Probe>(
+        &self,
+        scenario: Scenario,
+        config: WorldConfig,
+        seed: u64,
+        checked: bool,
+        probe: P,
+    ) -> (RunStats, World<P>) {
+        let mut world = World::with_probe(config, seed, probe);
+        let mut generator = JobGenerator::new(scenario.job_config());
+        world.submit_schedule(&self.schedule_for(scenario), &mut generator);
         // Timing the loop from outside is pure observability: the
         // reading is reported, never fed back into the simulation.
         #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
@@ -340,20 +360,11 @@ impl Runner {
         (stats, world)
     }
 
-    /// Builds — but does not run — the exact world one `(scenario,
-    /// seed)` run executes: the scenario's config under this runner's
-    /// scale overrides, with the given fault plan and probe attached
-    /// and the scenario's workload already scheduled. Every `run_once*`
-    /// entry point goes through here.
-    fn build_world<P: Probe>(
-        &self,
-        scenario: Scenario,
-        seed: u64,
-        fault: aria_core::FaultPlan,
-        probe: P,
-    ) -> World<P> {
+    /// The world configuration of one run of `scenario`: the scenario's
+    /// config under this runner's scale overrides. `run-scenario`, the
+    /// ablation campaign and every `run_once*` entry point start here.
+    pub fn config_for(&self, scenario: Scenario) -> WorldConfig {
         let mut config = scenario.world_config();
-        config.fault = fault;
         if let Some(nodes) = self.nodes {
             let shrink = nodes as f64 / config.nodes as f64;
             config.nodes = nodes;
@@ -364,12 +375,7 @@ impl Runner {
             // Small overlays cannot sustain a 9-hop average path bound.
             config.overlay_path_length = config.overlay_path_length.min((nodes as f64).log2());
         }
-        let schedule = self.schedule_for(scenario);
-
-        let mut world = World::with_probe(config, seed, probe);
-        let mut generator = JobGenerator::new(scenario.job_config());
-        world.submit_schedule(&schedule, &mut generator);
-        world
+        config
     }
 
     /// Runs one scenario over the given seeds.
@@ -381,13 +387,42 @@ impl Runner {
     /// Runs several scenarios over the given seeds, fanning the
     /// `(scenario, seed)` pairs out over worker threads.
     pub fn run_many(&self, scenarios: &[Scenario], seeds: &[u64]) -> Vec<ScenarioResult> {
-        let pairs: Vec<(usize, Scenario, u64)> = scenarios
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &s)| seeds.iter().map(move |&seed| (i, s, seed)))
-            .collect();
+        self.fan_out(scenarios.len(), seeds, |i, seed| self.run_once(scenarios[i], seed))
+            .into_iter()
+            .map(|(i, runs)| ScenarioResult { scenario: scenarios[i], runs })
+            .collect()
+    }
 
-        let mut by_scenario: BTreeMap<usize, Vec<RunStats>> = BTreeMap::new();
+    /// Runs `scenario`'s workload on each of `configs` over the given
+    /// seeds (see [`Runner::run_config`]), fanned out like
+    /// [`Runner::run_many`]; one result per config, in order.
+    pub(crate) fn run_configs(
+        &self,
+        scenario: Scenario,
+        configs: &[WorldConfig],
+        seeds: &[u64],
+    ) -> Vec<ScenarioResult> {
+        self.fan_out(configs.len(), seeds, |i, seed| {
+            self.run_config(scenario, configs[i].clone(), seed, false, NullProbe).0
+        })
+        .into_values()
+        .map(|runs| ScenarioResult { scenario, runs })
+        .collect()
+    }
+
+    /// Calls `run(i, seed)` for every item `i < items` and seed, fanning
+    /// the pairs out over worker threads; returns each item's runs
+    /// sorted by seed, keyed by item.
+    fn fan_out(
+        &self,
+        items: usize,
+        seeds: &[u64],
+        run: impl Fn(usize, u64) -> RunStats + Sync,
+    ) -> BTreeMap<usize, Vec<RunStats>> {
+        let pairs: Vec<(usize, u64)> =
+            (0..items).flat_map(|i| seeds.iter().map(move |&seed| (i, seed))).collect();
+
+        let mut by_item: BTreeMap<usize, Vec<RunStats>> = BTreeMap::new();
         // Worker threads draw permits from the process-wide budget
         // (`aria_sim::pool`), shared with every other `run_many` caller
         // in the process (parallel tests) and with `xtask explore`/
@@ -401,41 +436,36 @@ impl Runner {
             aria_sim::pool::reserve(self.workers.min(pairs.len()))
         };
         if reservation.workers() == 0 {
-            for (i, scenario, seed) in pairs {
-                by_scenario.entry(i).or_default().push(self.run_once(scenario, seed));
+            for (i, seed) in pairs {
+                by_item.entry(i).or_default().push(run(i, seed));
             }
         } else {
             // Work-stealing over a shared cursor: each worker claims the
-            // next (scenario, seed) pair until the list is exhausted.
+            // next (item, seed) pair until the list is exhausted.
             let next = AtomicUsize::new(0);
             let (result_tx, result_rx) = mpsc::channel();
             std::thread::scope(|scope| {
                 for _ in 0..reservation.workers() {
                     let result_tx = result_tx.clone();
-                    let (pairs, next) = (&pairs, &next);
+                    let (pairs, next, run) = (&pairs, &next, &run);
                     scope.spawn(move || loop {
                         let claimed = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(i, scenario, seed)) = pairs.get(claimed) else {
+                        let Some(&(i, seed)) = pairs.get(claimed) else {
                             break;
                         };
-                        let stats = self.run_once(scenario, seed);
-                        result_tx.send((i, stats)).expect("reporting result");
+                        result_tx.send((i, run(i, seed))).expect("reporting result");
                     });
                 }
                 drop(result_tx);
                 while let Ok((i, stats)) = result_rx.recv() {
-                    by_scenario.entry(i).or_default().push(stats);
+                    by_item.entry(i).or_default().push(stats);
                 }
             });
         }
-
-        by_scenario
-            .into_iter()
-            .map(|(i, mut runs)| {
-                runs.sort_by_key(|r| r.seed);
-                ScenarioResult { scenario: scenarios[i], runs }
-            })
-            .collect()
+        for runs in by_item.values_mut() {
+            runs.sort_by_key(|r| r.seed);
+        }
+        by_item
     }
 }
 

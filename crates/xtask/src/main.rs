@@ -96,8 +96,9 @@ fn lint(root: &Path) -> ExitCode {
         diagnostics.extend(rules::check_determinism(&rel, &text));
     }
 
-    // 2. Mandatory hygiene attributes on every crate root (including the
-    //    exempt crates: `forbid(unsafe_code)` is workspace-wide).
+    // 2. Mandatory hygiene attributes on every crate root, `src/bin/*`
+    //    binaries and exempt crates included: `forbid(unsafe_code)` is
+    //    workspace-wide.
     let mut roots = 0usize;
     for crate_root in crate_roots(root) {
         let rel = crate_root.strip_prefix(root).unwrap_or(&crate_root).display().to_string();

@@ -51,8 +51,8 @@ fn load(path: &str) -> Result<aria_probe::Trace, String> {
 }
 
 /// `probe run` — executes one probed scenario run, writes the trace as
-/// JSONL, and prints a BENCH_core.json-style stats block (wall time,
-/// processed events, events/second) to stdout.
+/// JSONL, and prints a small JSON stats block (wall time, processed
+/// events, events/second) to stdout.
 fn run_scenario(args: &[String]) -> ExitCode {
     let mut scenario = Scenario::IMixed;
     let mut seed = 1u64;
@@ -111,8 +111,7 @@ fn run_scenario(args: &[String]) -> ExitCode {
             trace.dropped
         );
     }
-    // Same hand-rolled JSON style as crates/bench's BENCH_core.json, so
-    // the two outputs are comparable side by side.
+    // Hand-rolled JSON in the style of `bench_scale`'s report lines.
     println!("{{");
     println!("  \"scenario\": \"{}\",", trace.meta.scenario);
     println!("  \"seed\": {},", trace.meta.seed);

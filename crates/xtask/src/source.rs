@@ -65,7 +65,8 @@ pub fn sim_reachable_sources(root: &Path) -> Vec<PathBuf> {
 }
 
 /// The crate-root source of every workspace member (crates/* and
-/// vendor/*), in sorted order.
+/// vendor/*), plus every `crates/*/src/bin/*.rs` binary root, in
+/// sorted order.
 pub fn crate_roots(root: &Path) -> Vec<PathBuf> {
     let mut roots = Vec::new();
     for group in ["crates", "vendor"] {
@@ -77,6 +78,14 @@ pub fn crate_roots(root: &Path) -> Vec<PathBuf> {
                     roots.push(candidate);
                     break;
                 }
+            }
+            if group == "crates" {
+                let Ok(bins) = std::fs::read_dir(src.join("bin")) else { continue };
+                roots.extend(
+                    bins.flatten()
+                        .map(|bin| bin.path())
+                        .filter(|path| path.extension().is_some_and(|e| e == "rs")),
+                );
             }
         }
     }
@@ -173,6 +182,23 @@ mod tests {
             "SIM_REACHABLE_CRATES + EXEMPT_CRATES must equal the crates/* members; \
              update crates/xtask/src/source.rs when adding or removing a crate"
         );
+    }
+
+    /// The hygiene-attribute check reaches every crate: each `crates/*`
+    /// member contributes at least one checked root, and binary roots
+    /// under `src/bin/` are checked alongside `lib.rs`/`main.rs`.
+    #[test]
+    fn every_member_and_binary_root_is_attribute_checked() {
+        let root = workspace_root();
+        let roots = crate_roots(&root);
+        for name in workspace_crates(&root) {
+            assert!(
+                roots.iter().any(|p| p.starts_with(root.join("crates").join(&name))),
+                "crate `{name}` contributes no root to the attribute check"
+            );
+        }
+        let node_bin = root.join("crates/node/src/bin/aria-node.rs");
+        assert!(roots.contains(&node_bin), "{} is not checked", node_bin.display());
     }
 
     /// `lint --list` and the scan itself agree because both call

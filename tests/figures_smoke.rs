@@ -11,9 +11,10 @@ fn campaign() -> Campaign {
 #[test]
 fn every_artifact_renders() {
     let mut c = campaign();
-    for id in
-        ["table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
-    {
+    for id in [
+        "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+        "fig10", "baselines", "ablations",
+    ] {
         let out = c.render(id).unwrap_or_else(|| panic!("unknown id {id}"));
         assert!(!out.is_empty(), "{id} rendered empty");
         assert!(out.starts_with("# "), "{id} missing title: {out}");
@@ -86,6 +87,42 @@ fn baselines_artifact_renders_all_four_schedulers() {
     // Gossip row reports nonzero message traffic; central reports none.
     let central_row = out.lines().find(|l| l.starts_with("central,")).unwrap();
     assert!(central_row.ends_with(",0"), "{central_row}");
+}
+
+#[test]
+fn ablations_artifact_renders_every_variant() {
+    let mut c = Campaign::new(Runner::scaled(30, 20).workers(1), vec![1]);
+    let out = c.render("ablations").expect("known artifact");
+    let mut lines = out.lines();
+    assert!(lines.next().unwrap().starts_with("# Ablations"), "{out}");
+    assert_eq!(
+        lines.next().unwrap(),
+        "ablation,variant,completion_s,waiting_s,request_msgs_per_job,accept_msgs_per_job,messages"
+    );
+    let rows: Vec<(&str, &str)> = lines
+        .map(|line| {
+            let cols: Vec<&str> = line.split(',').collect();
+            assert_eq!(cols.len(), 7, "{line}");
+            (cols[0], cols[1])
+        })
+        .collect();
+    assert_eq!(
+        rows,
+        [
+            ("forward_on_match", "false"),
+            ("forward_on_match", "true"),
+            ("overlay", "blatant"),
+            ("overlay", "random_regular_4"),
+            ("overlay", "small_world_4_0.2"),
+            ("overlay", "ring"),
+            ("policies", "FCFS"),
+            ("policies", "SJF"),
+            ("policies", "LJF"),
+            ("policies", "PRIORITY"),
+            ("reservations", "FCFS"),
+            ("reservations", "BACKFILL"),
+        ]
+    );
 }
 
 #[test]
