@@ -127,9 +127,12 @@ mod kind {
 
 // --- encoding ------------------------------------------------------------
 
-/// Encodes one message as a complete frame (length prefix included).
+/// Encodes one message as a complete frame (length prefix included),
+/// in a single allocation of exactly the frame's size.
 pub fn encode(msg: &LiveMsg) -> Vec<u8> {
-    let mut out = vec![0u8; 4]; // length prefix back-patched below
+    let len = frame_len(msg);
+    let mut out = Vec::with_capacity(len);
+    put_u32(&mut out, (len - 4) as u32);
     match msg {
         LiveMsg::Request { initiator, spec, hops_left, flood, visited } => {
             out.extend_from_slice(&[VERSION, kind::REQUEST]);
@@ -192,10 +195,41 @@ pub fn encode(msg: &LiveMsg) -> Vec<u8> {
             put_node(&mut out, *node);
         }
     }
-    let payload = out.len() - 4;
-    debug_assert!(payload <= MAX_PAYLOAD, "encoder produced an oversized frame");
-    out[..4].copy_from_slice(&(payload as u32).to_le_bytes());
+    debug_assert_eq!(out.len(), len, "frame_len disagrees with the encoder");
+    debug_assert!(len - 4 <= MAX_PAYLOAD, "encoder produced an oversized frame");
     out
+}
+
+/// The exact encoded size of `msg`: length prefix, version and kind
+/// bytes, then the body [`encode`] writes.
+fn frame_len(msg: &LiveMsg) -> usize {
+    const NODE: usize = 4;
+    const JOB: usize = 8;
+    const COST: usize = 8;
+    const HOPS: usize = 4;
+    const FLOOD: usize = 8;
+    fn spec(spec: &JobSpec) -> usize {
+        // id, arch, os, memory, disk, ert, deadline tag, priority: 24 B,
+        // plus the deadline instant when there is one.
+        let deadline = if spec.deadline.is_some() { 8 } else { 0 };
+        JOB + 1 + 1 + 2 + 2 + 8 + 1 + 1 + deadline
+    }
+    fn visited(visited: &[NodeId]) -> usize {
+        2 + NODE * visited.len()
+    }
+    let body = match msg {
+        LiveMsg::Request { spec: s, visited: v, .. } => NODE + spec(s) + HOPS + FLOOD + visited(v),
+        LiveMsg::Accept { .. } => NODE + JOB + COST,
+        LiveMsg::Inform { spec: s, visited: v, .. } => {
+            NODE + spec(s) + COST + HOPS + FLOOD + visited(v)
+        }
+        LiveMsg::Assign { spec: s, .. } => NODE + spec(s),
+        LiveMsg::Ack { .. } | LiveMsg::Done { .. } | LiveMsg::Holding { .. } => NODE + JOB,
+        LiveMsg::Join { .. } | LiveMsg::Leave { .. } | LiveMsg::Heartbeat { .. } => NODE,
+        LiveMsg::Submit { spec: s } => spec(s),
+        LiveMsg::Shutdown => 0,
+    };
+    4 + 2 + body
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -385,7 +419,13 @@ impl Reader<'_> {
         if self.buf.len() < count * 4 {
             return Err(CodecError::Truncated);
         }
-        (0..count).map(|_| self.node()).collect()
+        // One slot of headroom: a node that forwards the flood appends
+        // itself to this list, which would otherwise reallocate it.
+        let mut visited = Vec::with_capacity(count + 1);
+        for _ in 0..count {
+            visited.push(self.node()?);
+        }
+        Ok(visited)
     }
 
     fn spec(&mut self) -> Result<JobSpec, CodecError> {

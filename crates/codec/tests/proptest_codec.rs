@@ -2,7 +2,7 @@
 //! round trip exactly, and the decoder is panic-free (and strict) on
 //! arbitrary and corrupted bytes.
 
-use aria_codec::{decode, encode, CodecError, MAX_PAYLOAD};
+use aria_codec::{decode, encode, CodecError, MAX_PAYLOAD, MAX_VISITED_WIRE};
 use aria_core::driver::{FloodUid, LiveMsg};
 use aria_grid::{
     Architecture, Cost, JobId, JobPriority, JobRequirements, JobSpec, OperatingSystem,
@@ -47,7 +47,16 @@ prop_compose! {
 }
 
 prop_compose! {
-    fn arb_visited()(raw in proptest::collection::vec(0u32..1_000_000, 0..40)) -> Vec<NodeId> {
+    /// Visited lists up to the wire bound, weighted toward the short
+    /// lists real floods carry: three arms in five stay under 40
+    /// entries, one spans 40 up to the bound, one sits exactly on it.
+    fn arb_visited()(raw in prop_oneof![
+        proptest::collection::vec(0u32..1_000_000, 0..40),
+        proptest::collection::vec(0u32..1_000_000, 0..40),
+        proptest::collection::vec(0u32..1_000_000, 0..40),
+        proptest::collection::vec(0u32..1_000_000, 40..MAX_VISITED_WIRE + 1),
+        proptest::collection::vec(0u32..1_000_000, MAX_VISITED_WIRE..MAX_VISITED_WIRE + 1),
+    ]) -> Vec<NodeId> {
         raw.into_iter().map(NodeId::new).collect()
     }
 }
@@ -126,11 +135,8 @@ proptest! {
     }
 }
 
-/// Pinned case: flipping the visited-count bytes of a REQUEST to a huge
-/// value must be rejected by the bound check, not attempt an allocation.
-#[test]
-fn hostile_visited_count_is_bounded() {
-    let msg = LiveMsg::Request {
+fn one_hop_request() -> LiveMsg {
+    LiveMsg::Request {
         initiator: NodeId::new(1),
         spec: JobSpec::batch(
             JobId::new(1),
@@ -140,9 +146,29 @@ fn hostile_visited_count_is_bounded() {
         hops_left: 3,
         flood: FloodUid { origin: NodeId::new(1), seq: 0 },
         visited: vec![NodeId::new(1)],
-    };
-    let mut bytes = encode(&msg);
+    }
+}
+
+/// `one_hop_request`'s frame with its visited count rewritten to `count`.
+fn with_visited_count(count: u16) -> Vec<u8> {
+    let mut bytes = encode(&one_hop_request());
     let count_at = bytes.len() - 4 - 2; // one visited entry + the count field
-    bytes[count_at..count_at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+    bytes[count_at..count_at + 2].copy_from_slice(&count.to_le_bytes());
+    bytes
+}
+
+/// Pinned case: flipping the visited-count bytes of a REQUEST to a huge
+/// value must be rejected by the bound check, not attempt an allocation.
+#[test]
+fn hostile_visited_count_is_bounded() {
+    let bytes = with_visited_count(u16::MAX);
     assert_eq!(decode(&bytes), Err(CodecError::VisitedTooLong(u16::MAX as usize)));
+}
+
+/// A count inside the bound but longer than the body is caught by the
+/// remaining-bytes check that precedes the list's allocation.
+#[test]
+fn visited_count_past_the_body_is_truncated() {
+    let bytes = with_visited_count(MAX_VISITED_WIRE as u16);
+    assert_eq!(decode(&bytes), Err(CodecError::Truncated));
 }

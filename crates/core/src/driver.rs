@@ -437,6 +437,9 @@ pub struct NodeDriver {
     settled: BTreeSet<JobId>,
     /// FIFO ring of terminal jobs; overflow purges their bookkeeping.
     retired_order: VecDeque<JobId>,
+    /// Reused candidate buffer for fan-out sampling (flood seeds and
+    /// forwarding targets), so a flood hop allocates no list of its own.
+    scratch: Vec<NodeId>,
 }
 
 impl NodeDriver {
@@ -493,6 +496,7 @@ impl NodeDriver {
             delegated: BTreeMap::new(),
             settled: BTreeSet::new(),
             retired_order: VecDeque::new(),
+            scratch: Vec::new(),
         }
     }
 
@@ -574,14 +578,12 @@ impl NodeDriver {
         // Dead peers are excluded from flood seeding: their bids cannot
         // arrive and assigning to them is recovery work waiting to
         // happen. Suspects stay in — suspicion tolerates jitter.
-        let mut candidates: Vec<NodeId> = self
-            .membership
-            .iter()
-            .filter(|(_, h)| h.state != PeerState::Dead)
-            .map(|(&n, _)| n)
-            .collect();
-        self.rng.sample_in_place(&mut candidates, self.cfg.aria.request_fanout);
-        let seeds = candidates;
+        let mut seeds = std::mem::take(&mut self.scratch);
+        seeds.clear();
+        seeds.extend(
+            self.membership.iter().filter(|(_, h)| h.state != PeerState::Dead).map(|(&n, _)| n),
+        );
+        self.rng.sample_in_place(&mut seeds, self.cfg.aria.request_fanout);
         for &seed in &seeds {
             out.push(Output::Send {
                 to: seed,
@@ -601,6 +603,7 @@ impl NodeDriver {
             flood: flood.seq,
             seeds: seeds.len() as u32,
         }));
+        self.scratch = seeds;
         out.push(Output::StartTimer {
             after: self.cfg.aria.accept_window,
             timer: Timer::AcceptWindow { job },
@@ -952,6 +955,10 @@ impl NodeDriver {
                 flood: flood.seq,
                 cost_ms: cost.as_millis(),
             }));
+            // Known wire quirk: `forward` appends this node again, so an
+            // originated INFORM goes out carrying `[self, self]`. The
+            // benchmark's pinned `bytes=` figures depend on it; dropping
+            // the duplicate is a deliberate re-pin, not a cleanup.
             let msg = LiveMsg::Inform {
                 assignee: self.id,
                 spec,
@@ -960,7 +967,7 @@ impl NodeDriver {
                 flood,
                 visited: vec![self.id],
             };
-            self.forward(msg, self.cfg.aria.inform_fanout, &[self.id], out);
+            self.forward(msg, self.cfg.aria.inform_fanout, out);
         }
         out.push(Output::StartTimer {
             after: self.cfg.aria.inform_period,
@@ -1004,14 +1011,9 @@ impl NodeDriver {
                     });
                 }
                 if logic::should_forward(bids, self.cfg.aria.forward_on_match, hops_left) {
-                    let forwarded = LiveMsg::Request {
-                        initiator,
-                        spec,
-                        hops_left: hops_left - 1,
-                        flood,
-                        visited: Vec::new(), // filled by forward()
-                    };
-                    self.forward(forwarded, self.cfg.aria.request_fanout, &visited, out);
+                    let forwarded =
+                        LiveMsg::Request { initiator, spec, hops_left: hops_left - 1, flood, visited };
+                    self.forward(forwarded, self.cfg.aria.request_fanout, out);
                 }
             }
             LiveMsg::Inform { assignee, spec, cost, hops_left, flood, visited } => {
@@ -1051,9 +1053,9 @@ impl NodeDriver {
                         cost,
                         hops_left: hops_left - 1,
                         flood,
-                        visited: Vec::new(),
+                        visited,
                     };
-                    self.forward(forwarded, self.cfg.aria.inform_fanout, &visited, out);
+                    self.forward(forwarded, self.cfg.aria.inform_fanout, out);
                 }
             }
             LiveMsg::Accept { from, job, cost } => self.accept(now, from, job, cost, out),
@@ -1257,51 +1259,34 @@ impl NodeDriver {
     }
 
     /// Forwards a flood message to up to `fanout` random neighbors not
-    /// yet visited (selective flooding, \[28\]). `visited` is the list
-    /// carried by the incoming copy; the outgoing copies carry it
-    /// extended with this node, bounded by [`Self::MAX_VISITED`].
-    fn forward(
-        &mut self,
-        msg: LiveMsg,
-        fanout: usize,
-        visited: &[NodeId],
-        out: &mut Vec<Output>,
-    ) {
-        let mut candidates: Vec<NodeId> = self
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|n| *n != self.id && !visited.contains(n) && !self.is_dead(*n))
-            .collect();
-        self.rng.sample_in_place(&mut candidates, fanout);
-        if candidates.is_empty() {
-            return;
+    /// yet visited (selective flooding, \[28\]). `msg` carries the
+    /// incoming copy's visited list; the outgoing copies carry it
+    /// extended with this node, bounded by [`Self::MAX_VISITED`]. Every
+    /// target but the last gets a clone; the last gets `msg` itself.
+    fn forward(&mut self, mut msg: LiveMsg, fanout: usize, out: &mut Vec<Output>) {
+        let visited = match &mut msg {
+            LiveMsg::Request { visited, .. } | LiveMsg::Inform { visited, .. } => visited,
+            _ => unreachable!("only REQUEST/INFORM flood"),
+        };
+        let mut targets = std::mem::take(&mut self.scratch);
+        targets.clear();
+        targets.extend(
+            self.neighbors
+                .iter()
+                .copied()
+                .filter(|n| *n != self.id && !visited.contains(n) && !self.is_dead(*n)),
+        );
+        self.rng.sample_in_place(&mut targets, fanout);
+        if let Some((&last, rest)) = targets.split_last() {
+            if visited.len() < Self::MAX_VISITED {
+                visited.push(self.id);
+            }
+            for &target in rest {
+                out.push(Output::Send { to: target, msg: msg.clone() });
+            }
+            out.push(Output::Send { to: last, msg });
         }
-        let mut next_visited = visited.to_vec();
-        if next_visited.len() < Self::MAX_VISITED {
-            next_visited.push(self.id);
-        }
-        for &target in &candidates {
-            let copy = match &msg {
-                LiveMsg::Request { initiator, spec, hops_left, flood, .. } => LiveMsg::Request {
-                    initiator: *initiator,
-                    spec: *spec,
-                    hops_left: *hops_left,
-                    flood: *flood,
-                    visited: next_visited.clone(),
-                },
-                LiveMsg::Inform { assignee, spec, cost, hops_left, flood, .. } => LiveMsg::Inform {
-                    assignee: *assignee,
-                    spec: *spec,
-                    cost: *cost,
-                    hops_left: *hops_left,
-                    flood: *flood,
-                    visited: next_visited.clone(),
-                },
-                _ => unreachable!("only REQUEST/INFORM flood"),
-            };
-            out.push(Output::Send { to: target, msg: copy });
-        }
+        self.scratch = targets;
     }
 
     /// Arms the ACK/retransmit machinery for an ASSIGN about to be sent.
@@ -1387,6 +1372,49 @@ mod tests {
         sends_to_down: u32,
         /// Drop the first ASSIGN copy addressed to each entry.
         drop_first_assign_to: Vec<NodeId>,
+        /// Every `Send` the drivers emitted, folded in order.
+        sends: SendDigest,
+    }
+
+    /// An order-sensitive digest of a stream of `Output::Send`s: FNV-1a
+    /// 64 over each send's target, kind and, for floods, flood id, hop
+    /// budget and visited list.
+    #[derive(Debug)]
+    struct SendDigest {
+        count: u64,
+        informs: u64,
+        visited_entries: u64,
+        hash: u64,
+    }
+
+    impl SendDigest {
+        fn new() -> Self {
+            SendDigest { count: 0, informs: 0, visited_entries: 0, hash: 0xcbf2_9ce4_8422_2325 }
+        }
+
+        fn word(&mut self, word: u64) {
+            for b in word.to_le_bytes() {
+                self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn fold(&mut self, to: NodeId, msg: &LiveMsg) {
+            self.word(u64::from(to.raw()));
+            self.word(msg.kind() as u64);
+            self.count += 1;
+            if let LiveMsg::Request { hops_left, flood, visited, .. }
+            | LiveMsg::Inform { hops_left, flood, visited, .. } = msg
+            {
+                self.informs += u64::from(matches!(msg, LiveMsg::Inform { .. }));
+                self.word(u64::from(flood.origin.raw()));
+                self.word(u64::from(flood.seq));
+                self.word(u64::from(*hops_left));
+                self.visited_entries += visited.len() as u64;
+                for node in visited {
+                    self.word(u64::from(node.raw()));
+                }
+            }
+        }
     }
 
     impl Cluster {
@@ -1408,6 +1436,7 @@ mod tests {
                 membership_events: Vec::new(),
                 sends_to_down: 0,
                 drop_first_assign_to: Vec::new(),
+                sends: SendDigest::new(),
             }
         }
 
@@ -1471,6 +1500,7 @@ mod tests {
             for output in outputs {
                 match output {
                     Output::Send { to, msg } => {
+                        self.sends.fold(to, &msg);
                         if matches!(msg, LiveMsg::Assign { .. }) {
                             if let Some(slot) =
                                 self.drop_first_assign_to.iter().position(|&n| n == to)
@@ -1585,6 +1615,127 @@ mod tests {
         let mut done: Vec<u64> = cluster.completed.iter().map(|(j, _)| j.raw()).collect();
         done.sort_unstable();
         assert_eq!(done, (0..10).collect::<Vec<_>>(), "exactly-once completion");
+    }
+
+    /// Golden: every message a small rescheduling cluster sends — target,
+    /// kind, flood id, hop budget and each visited entry, in order — is
+    /// pinned. A change to how floods carry their visited lists, or to
+    /// any RNG draw behind fan-out sampling, moves this digest.
+    #[test]
+    fn golden_cluster_sends() {
+        // Bidders keep forwarding, so floods travel past the first hop.
+        let mut cfg = fast_cfg();
+        cfg.aria.forward_on_match = true;
+        let mut cluster = Cluster::new(5, cfg);
+        cluster.start();
+        for j in 0..10u64 {
+            cluster.submit(SimTime::from_secs(j * 20), (j % 5) as u32, spec(j, 30));
+        }
+        cluster.run(SimTime::from_hours(2));
+        assert_eq!(cluster.completed.len(), 10);
+        let d = &cluster.sends;
+        assert_eq!(
+            (d.count, d.informs, d.visited_entries, d.hash),
+            (144_476, 268, 1054, 0x5c6e_1efd_8f6a_47c7)
+        );
+    }
+
+    /// Node 0 with five neighbours (1–5), of which 3 is declared dead;
+    /// the test requests carry neighbour 2 in their visited list. It
+    /// forwards REQUESTs even though it can bid on them.
+    fn forwarding_driver(fanout: usize, seed: u64) -> NodeDriver {
+        let mut cfg = fast_cfg();
+        cfg.aria.request_fanout = fanout;
+        cfg.aria.forward_on_match = true;
+        let peers: Vec<NodeId> = (0..10).map(NodeId::new).collect();
+        let neighbors = [1, 2, 3, 4, 5].map(NodeId::new).to_vec();
+        let mut driver =
+            NodeDriver::new(NodeId::new(0), profile(1.0), Policy::Fcfs, cfg, seed, peers, neighbors);
+        let leave = LiveMsg::Leave { node: NodeId::new(3) };
+        driver.handle(SimTime::ZERO, Input::Msg { from: NodeId::new(3), msg: leave });
+        driver
+    }
+
+    fn request(seq: u32, visited: Vec<NodeId>) -> LiveMsg {
+        LiveMsg::Request {
+            initiator: NodeId::new(9),
+            spec: spec(1, 5),
+            hops_left: 4,
+            flood: FloodUid { origin: NodeId::new(9), seq },
+            visited,
+        }
+    }
+
+    /// The flood copies `handle` emits for a delivered REQUEST.
+    fn forwarded(driver: &mut NodeDriver, msg: LiveMsg) -> Vec<(NodeId, Vec<NodeId>, u32)> {
+        let out = driver.handle(SimTime::ZERO, Input::Msg { from: NodeId::new(9), msg });
+        out.into_iter()
+            .filter_map(|o| match o {
+                Output::Send { to, msg: LiveMsg::Request { visited, hops_left, .. } } => {
+                    Some((to, visited, hops_left))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `forward`'s contract: up to `fanout` copies, each to a distinct
+    /// live neighbour that is neither this node nor in the incoming
+    /// visited list, each carrying that list extended with this node
+    /// (unchanged once it is full) and one hop less.
+    #[test]
+    fn forward_extends_visited_and_skips_visited_self_and_dead() {
+        let me = NodeId::new(0);
+        let v = vec![NodeId::new(9), NodeId::new(2)];
+        for seed in 0..8 {
+            let mut driver = forwarding_driver(2, seed);
+            let copies = forwarded(&mut driver, request(seed as u32, v.clone()));
+            assert_eq!(copies.len(), 2, "seed {seed}: fan-out 2 of three candidates");
+            assert_ne!(copies[0].0, copies[1].0, "seed {seed}: targets are distinct");
+            for (to, visited, hops_left) in &copies {
+                assert!(!v.contains(to) && *to != me, "seed {seed}: sent to visited {to:?}");
+                assert_ne!(*to, NodeId::new(3), "seed {seed}: sent to the dead neighbour");
+                assert_eq!(*visited, [v.as_slice(), &[me]].concat());
+                assert_eq!(*hops_left, 3);
+            }
+        }
+        // Fan-out above the candidate count sends one copy per candidate.
+        let mut driver = forwarding_driver(4, 1);
+        let mut targets: Vec<NodeId> =
+            forwarded(&mut driver, request(0, v.clone())).into_iter().map(|c| c.0).collect();
+        targets.sort();
+        assert_eq!(targets, [1, 4, 5].map(NodeId::new));
+        // A full list travels on unchanged.
+        let full: Vec<NodeId> =
+            (0..NodeDriver::MAX_VISITED as u32).map(|i| NodeId::new(100 + i)).collect();
+        let mut driver = forwarding_driver(2, 1);
+        let copies = forwarded(&mut driver, request(0, full.clone()));
+        assert_eq!(copies.len(), 2);
+        assert!(copies.iter().all(|(_, visited, _)| *visited == full));
+    }
+
+    /// A freshly originated INFORM carries its origin twice (`[self,
+    /// self]`): the known wire quirk documented at `inform_tick`.
+    #[test]
+    fn originated_inform_carries_its_origin_twice() {
+        let mut driver = forwarding_driver(2, 1);
+        let now = SimTime::from_secs(1);
+        // A waiting job behind a running one is an INFORM candidate.
+        for j in 0..2 {
+            let assign = LiveMsg::Assign { initiator: NodeId::new(0), spec: spec(j, 30) };
+            driver.handle(now, Input::Msg { from: NodeId::new(1), msg: assign });
+        }
+        let out = driver.handle(now, Input::Timer(Timer::InformTick));
+        let me = NodeId::new(0);
+        let visited: Vec<&Vec<NodeId>> = out
+            .iter()
+            .filter_map(|o| match o {
+                Output::Send { msg: LiveMsg::Inform { visited, .. }, .. } => Some(visited),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(visited.len(), 2, "inform fan-out 2");
+        assert!(visited.iter().all(|v| **v == [me, me]));
     }
 
     /// The initial-assignment decision matches the simulator's: the
