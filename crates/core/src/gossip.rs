@@ -244,10 +244,17 @@ impl GossipScheduler {
         let own = CacheEntry { backlog: self.queues[node].backlog(now), observed_at: now };
         self.caches[node].insert(node, own);
 
+        // The freshest `digest_size` entries, freshest first: a partial
+        // select, then a sort of the few kept. The key is total (node ids
+        // are unique), so this is exactly the prefix of a full sort.
         let mut entries: Vec<(usize, CacheEntry)> =
             self.caches[node].iter().map(|(&i, &e)| (i, e)).collect();
-        entries.sort_by_key(|&(i, e)| (std::cmp::Reverse(e.observed_at), i));
-        entries.truncate(self.digest_size);
+        let key = |&(i, e): &(usize, CacheEntry)| (std::cmp::Reverse(e.observed_at), i);
+        if entries.len() > self.digest_size {
+            entries.select_nth_unstable_by_key(self.digest_size, key);
+            entries.truncate(self.digest_size);
+        }
+        entries.sort_unstable_by_key(key);
 
         let node_id = aria_overlay::NodeId::new(node as u32);
         // Reuse the scratch peer buffer; the draw sequence matches the

@@ -56,13 +56,13 @@ use aria_probe::{FloodKind, MsgKind, NullProbe, Probe, ProbeEvent};
 use aria_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use aria_workload::{JobGenerator, ProfileGenerator, SubmissionSchedule};
 
-/// How often [`World::run`]/[`World::run_until`] audit the protocol state
-/// machine in debug builds: every this-many drained events (plus once
-/// after the queue drains). [`World::check_invariants`] walks every node,
-/// job and pending event, so running it per event would turn a
-/// million-event debug run quadratic; a power-of-two stride keeps the
-/// audit cheap while still catching corruption within 64 events of its
-/// cause. [`World::run_checked`] checks every event regardless.
+/// How often [`World::run`] audits the protocol state machine in debug
+/// builds: every this-many drained events (plus once after the queue
+/// drains). [`World::check_invariants`] walks every node, job and
+/// pending event, so running it per event would turn a million-event
+/// debug run quadratic; a power-of-two stride keeps the audit cheap
+/// while still catching corruption within 64 events of its cause.
+/// [`World::run_checked`] checks every event regardless.
 #[cfg_attr(not(debug_assertions), allow(dead_code))]
 const INVARIANT_STRIDE: u64 = 64;
 
@@ -459,43 +459,27 @@ impl<P: Probe> World<P> {
         self.run()
     }
 
-    /// Runs until the given instant, leaving later events pending.
-    pub fn run_until(&mut self, deadline: SimTime) -> &MetricsCollector {
-        while let Some((now, event)) = self.events.pop_due(deadline) {
-            self.processed += 1;
-            self.handle(now, event);
-            #[cfg(debug_assertions)]
-            if self.processed.is_multiple_of(INVARIANT_STRIDE) {
-                self.check_invariants();
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.check_invariants();
-        &self.metrics
-    }
-
     /// Runs to completion like [`World::run`], auditing the full protocol
     /// state machine with [`World::check_invariants`] after **every**
-    /// drained event, in every build profile.
+    /// drained event, in every build profile: [`World::run_audited`]
+    /// with its first violation raised as a panic.
     ///
     /// The checks are read-only, so a checked run produces bit-for-bit
     /// the same metrics as [`World::run`] — the `invariants_golden` test
     /// pins that equivalence. Use this in tests and CI; per-event
     /// auditing is too slow for paper-scale campaigns.
     pub fn run_checked(&mut self) -> &MetricsCollector {
-        while let Some((now, event)) = self.events.pop() {
-            self.processed += 1;
-            self.handle(now, event);
-            self.check_invariants();
+        if let Err(violation) = self.run_audited() {
+            panic!("{violation}");
         }
         &self.metrics
     }
 
-    /// Runs to completion auditing like [`World::run_checked`], but
-    /// returns the first invariant violation instead of panicking. The
-    /// chaos harness (`cargo xtask chaos`) uses this as its oracle: a
-    /// violation under a randomized fault schedule must become a
-    /// shrinkable report, not a crash.
+    /// Runs to completion, auditing with [`World::try_check_invariants`]
+    /// after every drained event, and returns the first invariant
+    /// violation instead of panicking. The chaos harness (`cargo xtask
+    /// chaos`) uses this as its oracle: a violation under a randomized
+    /// fault schedule must become a shrinkable report, not a crash.
     pub fn run_audited(&mut self) -> Result<(), String> {
         while let Some((now, event)) = self.events.pop() {
             self.processed += 1;
@@ -505,7 +489,7 @@ impl<P: Probe> World<P> {
         Ok(())
     }
 
-    /// Total number of events handled by [`World::run`]/[`World::run_until`].
+    /// Total number of events handled by the `run*` loops.
     pub fn processed_events(&self) -> u64 {
         self.processed
     }
@@ -556,10 +540,10 @@ impl<P: Probe> World<P> {
     ///   below assignments, and a world with rescheduling disabled never
     ///   records a reschedule (the PR-1 stale-ACCEPT regression).
     ///
-    /// [`World::run`] and [`World::run_until`] call this every
-    /// [`INVARIANT_STRIDE`] events in debug builds (and once after the
-    /// queue drains); [`World::run_checked`] calls it after every event
-    /// in every profile. Cost is `O(nodes + jobs + pending events)`.
+    /// [`World::run`] calls this every [`INVARIANT_STRIDE`] events in
+    /// debug builds (and once after the queue drains);
+    /// [`World::run_checked`] calls it after every event in every
+    /// profile. Cost is `O(nodes + jobs + pending events)`.
     pub fn check_invariants(&self) {
         if let Err(violation) = self.try_check_invariants() {
             panic!("{violation}");
@@ -2126,18 +2110,6 @@ mod tests {
         let completed = metrics.completed_series().values();
         assert!(completed.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*completed.last().unwrap(), 5.0);
-    }
-
-    #[test]
-    fn run_until_stops_midway() {
-        let mut world = small_world(11);
-        submit_batch(&mut world, 10);
-        world.run_until(SimTime::from_mins(30));
-        assert!(world.now() <= SimTime::from_mins(30));
-        let before = world.metrics().completed_count();
-        world.run();
-        assert!(world.metrics().completed_count() >= before);
-        assert_eq!(world.metrics().completed_count(), 10);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!                                              (default: all)
 //! --seeds   number of seeds per scenario       (default: 10, paper value)
 //! --scale   shrink the grid for quick runs     (default: paper scale)
-//! --workers worker threads                     (default: all cores)
+//! --workers lanes, the calling thread included (default: all cores)
 //! --out     also write each artifact to DIR/<id>.txt
 //! ```
 //!

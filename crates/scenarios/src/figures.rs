@@ -257,68 +257,60 @@ scheduler,completion_s,waiting_s,messages
                 / aria.runs.len() as f64,
         );
 
-        let mut central_completion = Summary::new();
-        let mut central_waiting = Summary::new();
-        let mut gossip_completion = Summary::new();
-        let mut gossip_waiting = Summary::new();
-        let mut gossip_msgs = 0.0;
-        let mut multi_completion = Summary::new();
-        let mut multi_waiting = Summary::new();
-        let mut multi_revoked = 0.0;
-        for &seed in &self.seeds {
+        // One run per (comparator, seed) on the runner's lanes, each
+        // yielding its completion and waiting summaries and the row's
+        // last column (gossip messages, revoked multi-request replicas).
+        let rows = [("central", ""), ("gossip", ""), ("multireq_k3", " revoked replicas")];
+        let pairs: Vec<(&str, u64)> = rows
+            .iter()
+            .flat_map(|&(name, _)| self.seeds.iter().map(move |&seed| (name, seed)))
+            .collect();
+        let runs = self.runner.map(&pairs, |&(name, seed)| {
             let mut jobs = aria_workload::JobGenerator::new(Scenario::IMixed.job_config());
-            let mut central =
-                CentralScheduler::new(nodes, PolicyMix::paper_mixed(), horizon, period, seed);
-            central.submit_schedule(&schedule, &mut jobs);
-            central.run();
-            central_completion.merge(&central.metrics().completion_summary());
-            central_waiting.merge(&central.metrics().waiting_summary());
-
-            let mut jobs = aria_workload::JobGenerator::new(Scenario::IMixed.job_config());
-            let mut gossip =
-                GossipScheduler::new(nodes, PolicyMix::paper_mixed(), horizon, period, seed);
-            gossip.submit_schedule(&schedule, &mut jobs);
-            gossip.run();
-            gossip_completion.merge(&gossip.metrics().completion_summary());
-            gossip_waiting.merge(&gossip.metrics().waiting_summary());
-            gossip_msgs += gossip.metrics().traffic().total_messages() as f64;
-
-            let mut jobs = aria_workload::JobGenerator::new(Scenario::IMixed.job_config());
-            let mut multi = MultiRequestScheduler::new(
-                nodes,
-                PolicyMix::paper_mixed(),
-                3,
-                horizon,
-                period,
-                seed,
-            );
-            multi.submit_schedule(&schedule, &mut jobs);
-            multi.run();
-            multi_completion.merge(&multi.metrics().completion_summary());
-            multi_waiting.merge(&multi.metrics().waiting_summary());
-            multi_revoked += multi.revoked_replicas() as f64;
-        }
+            let mix = PolicyMix::paper_mixed();
+            match name {
+                "central" => {
+                    let mut central = CentralScheduler::new(nodes, mix, horizon, period, seed);
+                    central.submit_schedule(&schedule, &mut jobs);
+                    let metrics = central.run();
+                    (metrics.completion_summary(), metrics.waiting_summary(), 0.0)
+                }
+                "gossip" => {
+                    let mut gossip = GossipScheduler::new(nodes, mix, horizon, period, seed);
+                    gossip.submit_schedule(&schedule, &mut jobs);
+                    let metrics = gossip.run();
+                    let messages = metrics.traffic().total_messages() as f64;
+                    (metrics.completion_summary(), metrics.waiting_summary(), messages)
+                }
+                _ => {
+                    let mut multi =
+                        MultiRequestScheduler::new(nodes, mix, 3, horizon, period, seed);
+                    multi.submit_schedule(&schedule, &mut jobs);
+                    let metrics = multi.run();
+                    let (completion, waiting) =
+                        (metrics.completion_summary(), metrics.waiting_summary());
+                    (completion, waiting, multi.revoked_replicas() as f64)
+                }
+            }
+        });
+        // Merged in seed order per row, as a serial loop over the seeds
+        // would, so the floats and the text do not depend on the lanes.
         let n = self.seeds.len() as f64;
-        let _ = writeln!(
-            out,
-            "central,{:.0},{:.0},0",
-            central_completion.mean(),
-            central_waiting.mean()
-        );
-        let _ = writeln!(
-            out,
-            "gossip,{:.0},{:.0},{:.0}",
-            gossip_completion.mean(),
-            gossip_waiting.mean(),
-            gossip_msgs / n,
-        );
-        let _ = writeln!(
-            out,
-            "multireq_k3,{:.0},{:.0},{:.0} revoked replicas",
-            multi_completion.mean(),
-            multi_waiting.mean(),
-            multi_revoked / n,
-        );
+        for ((name, suffix), runs) in rows.iter().zip(runs.chunks(self.seeds.len())) {
+            let (mut completion, mut waiting, mut last) = (Summary::new(), Summary::new(), 0.0);
+            for (run_completion, run_waiting, run_last) in runs {
+                completion.merge(run_completion);
+                waiting.merge(run_waiting);
+                last += run_last;
+            }
+            let _ = writeln!(
+                out,
+                "{name},{:.0},{:.0},{:.0}{suffix}",
+                completion.mean(),
+                waiting.mean(),
+                last / n,
+            );
+        }
         out
     }
 

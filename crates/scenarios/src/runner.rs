@@ -6,9 +6,6 @@ use aria_metrics::{DeadlineStats, TrafficClass, TrafficLedger};
 use aria_probe::{NullProbe, Probe, RingRecorder, Trace, TraceMeta};
 use aria_sim::{Summary, TimeSeries};
 use aria_workload::JobGenerator;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Compact statistics of one `(scenario, seed)` simulation run.
 #[derive(Debug, Clone)]
@@ -184,32 +181,29 @@ pub struct Runner {
     nodes: Option<usize>,
     /// Override for the job count (`None` = paper scale).
     jobs: Option<usize>,
-    /// Upper bound on worker threads for the seed fan-out; the actual
-    /// count is capped by the shared [`aria_sim::pool`] permit budget.
+    /// Lanes of the seed fan-out, the calling thread included; the
+    /// extra threads are capped by the shared [`aria_sim::pool`] budget.
     workers: usize,
 }
 
 impl Runner {
     /// A full paper-scale runner.
     pub fn paper() -> Self {
-        Runner { nodes: None, jobs: None, workers: Self::default_workers() }
+        Runner { nodes: None, jobs: None, workers: aria_sim::pool::default_lanes() }
     }
 
     /// A scaled-down runner with the given node and job counts
     /// (submission interval and horizon are kept, so load *per node*
     /// rises as the grid shrinks).
     pub fn scaled(nodes: usize, jobs: usize) -> Self {
-        Runner { nodes: Some(nodes), jobs: Some(jobs), workers: Self::default_workers() }
+        Runner { nodes: Some(nodes), jobs: Some(jobs), workers: aria_sim::pool::default_lanes() }
     }
 
-    /// Sets the number of worker threads (builder-style).
+    /// Sets the number of lanes, the calling thread included
+    /// (builder-style); 1 runs everything on the caller.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
-    }
-
-    fn default_workers() -> usize {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
     /// The node count used for `fallback`-sized worlds under this
@@ -235,7 +229,7 @@ impl Runner {
     /// Builds the world for one run of `scenario` (applying any scale
     /// overrides) and executes it with the scenario's workload.
     pub fn run_once(&self, scenario: Scenario, seed: u64) -> RunStats {
-        self.run_once_with(scenario, seed, false)
+        self.run_config(scenario, self.config_for(scenario), seed, false, NullProbe).0
     }
 
     /// Like [`Runner::run_once`], but audits the full protocol state
@@ -247,11 +241,7 @@ impl Runner {
     /// `(scenario, seed)` — `tests/invariants_golden.rs` asserts
     /// exactly that. Orders of magnitude slower; test-scale worlds only.
     pub fn run_once_checked(&self, scenario: Scenario, seed: u64) -> RunStats {
-        self.run_once_with(scenario, seed, true)
-    }
-
-    fn run_once_with(&self, scenario: Scenario, seed: u64, checked: bool) -> RunStats {
-        self.run_once_instrumented(scenario, seed, checked, NullProbe).0
+        self.run_config(scenario, self.config_for(scenario), seed, true, NullProbe).0
     }
 
     /// Runs one `(scenario, seed)` with a structured-event trace
@@ -263,8 +253,9 @@ impl Runner {
     /// bit-for-bit identical to [`Runner::run_once`] for the same
     /// `(scenario, seed)` — `tests/probe_golden.rs` pins that.
     pub fn run_once_traced(&self, scenario: Scenario, seed: u64) -> (RunStats, Trace) {
+        let config = self.config_for(scenario);
         let (stats, world) =
-            self.run_once_instrumented(scenario, seed, false, RingRecorder::default());
+            self.run_config(scenario, config, seed, false, RingRecorder::default());
         let meta = TraceMeta {
             scenario: scenario.to_string(),
             seed,
@@ -274,43 +265,14 @@ impl Runner {
         (stats, world.into_probe().into_trace(meta))
     }
 
-    /// The shared instrumented core: builds the world with an explicit
-    /// [`Probe`], executes the scenario's workload, and returns the
-    /// statistics together with the finished world (so callers can
-    /// extract the probe or inspect final state).
-    pub fn run_once_instrumented<P: Probe>(
-        &self,
-        scenario: Scenario,
-        seed: u64,
-        checked: bool,
-        probe: P,
-    ) -> (RunStats, World<P>) {
-        self.run_once_faulted(scenario, seed, aria_core::FaultPlan::none(), checked, probe)
-    }
-
-    /// Like [`Runner::run_once_instrumented`], but runs the scenario
-    /// over a lossy transport: `fault` replaces the scenario's (always
-    /// reliable) [`aria_core::FaultPlan`]. With [`aria_core::FaultPlan::none`]
-    /// this is exactly `run_once_instrumented` — the robustness
-    /// campaigns in [`crate::sweep`] build on this entry point.
-    pub fn run_once_faulted<P: Probe>(
-        &self,
-        scenario: Scenario,
-        seed: u64,
-        fault: aria_core::FaultPlan,
-        checked: bool,
-        probe: P,
-    ) -> (RunStats, World<P>) {
-        let mut config = self.config_for(scenario);
-        config.fault = fault;
-        self.run_config(scenario, config, seed, checked, probe)
-    }
-
     /// Runs `scenario`'s workload (under this runner's job count) on an
     /// explicit world configuration — normally an edited copy of
-    /// [`Runner::config_for`] — with the probe attached. Every
-    /// `run_once*` entry point ends here; the ablation campaign calls it
-    /// with edits of iMixed's config.
+    /// [`Runner::config_for`] — with the probe attached, auditing every
+    /// event when `checked`. Returns the statistics together with the
+    /// finished world (so callers can extract the probe or inspect final
+    /// state). Every `run_once*` entry point ends here; the ablation
+    /// campaign calls it with edits of iMixed's config and the loss
+    /// sweep ([`crate::sweep`]) with a lossy [`aria_core::FaultPlan`].
     pub fn run_config<P: Probe>(
         &self,
         scenario: Scenario,
@@ -385,11 +347,12 @@ impl Runner {
     }
 
     /// Runs several scenarios over the given seeds, fanning the
-    /// `(scenario, seed)` pairs out over worker threads.
+    /// `(scenario, seed)` pairs out over this runner's lanes.
     pub fn run_many(&self, scenarios: &[Scenario], seeds: &[u64]) -> Vec<ScenarioResult> {
-        self.fan_out(scenarios.len(), seeds, |i, seed| self.run_once(scenarios[i], seed))
+        self.fan_out(scenarios, seeds, |&scenario, seed| self.run_once(scenario, seed))
             .into_iter()
-            .map(|(i, runs)| ScenarioResult { scenario: scenarios[i], runs })
+            .zip(scenarios)
+            .map(|(runs, &scenario)| ScenarioResult { scenario, runs })
             .collect()
     }
 
@@ -402,70 +365,33 @@ impl Runner {
         configs: &[WorldConfig],
         seeds: &[u64],
     ) -> Vec<ScenarioResult> {
-        self.fan_out(configs.len(), seeds, |i, seed| {
-            self.run_config(scenario, configs[i].clone(), seed, false, NullProbe).0
+        self.fan_out(configs, seeds, |config, seed| {
+            self.run_config(scenario, config.clone(), seed, false, NullProbe).0
         })
-        .into_values()
+        .into_iter()
         .map(|runs| ScenarioResult { scenario, runs })
         .collect()
     }
 
-    /// Calls `run(i, seed)` for every item `i < items` and seed, fanning
-    /// the pairs out over worker threads; returns each item's runs
-    /// sorted by seed, keyed by item.
-    fn fan_out(
-        &self,
-        items: usize,
-        seeds: &[u64],
-        run: impl Fn(usize, u64) -> RunStats + Sync,
-    ) -> BTreeMap<usize, Vec<RunStats>> {
-        let pairs: Vec<(usize, u64)> =
-            (0..items).flat_map(|i| seeds.iter().map(move |&seed| (i, seed))).collect();
+    /// Applies `f` to every item on this runner's lanes
+    /// ([`aria_sim::pool::map`]); results in item order.
+    pub(crate) fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        aria_sim::pool::map(items, self.workers, f)
+    }
 
-        let mut by_item: BTreeMap<usize, Vec<RunStats>> = BTreeMap::new();
-        // Worker threads draw permits from the process-wide budget
-        // (`aria_sim::pool`), shared with every other `run_many` caller
-        // in the process (parallel tests) and with `xtask explore`/
-        // `chaos` workers, so concurrent fan-outs together never exceed
-        // the core count. A zero grant — budget exhausted, or a single
-        // pair — runs the pairs serially on this thread; results are
-        // identical either way, only wall-clock time changes.
-        let reservation = if self.workers <= 1 || pairs.len() <= 1 {
-            aria_sim::pool::reserve(0)
-        } else {
-            aria_sim::pool::reserve(self.workers.min(pairs.len()))
-        };
-        if reservation.workers() == 0 {
-            for (i, seed) in pairs {
-                by_item.entry(i).or_default().push(run(i, seed));
-            }
-        } else {
-            // Work-stealing over a shared cursor: each worker claims the
-            // next (item, seed) pair until the list is exhausted.
-            let next = AtomicUsize::new(0);
-            let (result_tx, result_rx) = mpsc::channel();
-            std::thread::scope(|scope| {
-                for _ in 0..reservation.workers() {
-                    let result_tx = result_tx.clone();
-                    let (pairs, next, run) = (&pairs, &next, &run);
-                    scope.spawn(move || loop {
-                        let claimed = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(i, seed)) = pairs.get(claimed) else {
-                            break;
-                        };
-                        result_tx.send((i, run(i, seed))).expect("reporting result");
-                    });
-                }
-                drop(result_tx);
-                while let Ok((i, stats)) = result_rx.recv() {
-                    by_item.entry(i).or_default().push(stats);
-                }
-            });
-        }
-        for runs in by_item.values_mut() {
-            runs.sort_by_key(|r| r.seed);
-        }
-        by_item
+    /// Calls `run(item, seed)` for every item and seed as one
+    /// [`Runner::map`] over the pairs; returns each item's runs in
+    /// `seeds` order.
+    fn fan_out<T: Sync>(
+        &self,
+        items: &[T],
+        seeds: &[u64],
+        run: impl Fn(&T, u64) -> RunStats + Sync,
+    ) -> Vec<Vec<RunStats>> {
+        let pairs: Vec<(&T, u64)> =
+            items.iter().flat_map(|item| seeds.iter().map(move |&seed| (item, seed))).collect();
+        let mut runs = self.map(&pairs, |&(item, seed)| run(item, seed)).into_iter();
+        items.iter().map(|_| runs.by_ref().take(seeds.len()).collect()).collect()
     }
 }
 
@@ -538,13 +464,17 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_agree() {
+        // Every field but the wall-clock reading, seed by seed; `{:?}`
+        // prints each float exactly.
+        let timeless =
+            |r: &RunStats| format!("{:?}", RunStats { wall_time_secs: 0.0, ..r.clone() });
         let serial = tiny().workers(1).run(Scenario::Mixed, &[1, 2]);
         let parallel = tiny().workers(4).run(Scenario::Mixed, &[1, 2]);
-        assert_eq!(serial.completion().mean(), parallel.completion().mean());
-        assert_eq!(
-            serial.avg_messages(TrafficClass::Request),
-            parallel.avg_messages(TrafficClass::Request)
-        );
+        assert_eq!(serial.runs.len(), 2);
+        assert_eq!(parallel.runs.len(), 2);
+        for (serial, parallel) in serial.runs.iter().zip(&parallel.runs) {
+            assert_eq!(timeless(serial), timeless(parallel), "seed {}", serial.seed);
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! The paper's evaluation (§IV) only injects whole-node crashes; this
 //! module reruns the iMixed scenario under increasing per-message loss
-//! (plus optional duplicates/jitter/partitions through
-//! [`Runner::run_once_faulted`]) and reports the job-conservation
+//! (plus optional duplicates/jitter/partitions, passed to
+//! [`Runner::run_config`]) and reports the job-conservation
 //! ledger at every rate:
 //!
 //! ```text
@@ -22,7 +22,7 @@
 
 use crate::catalog::Scenario;
 use crate::runner::Runner;
-use aria_core::FaultPlan;
+use aria_core::{FaultPlan, WorldConfig};
 use aria_probe::NullProbe;
 
 /// One point of a loss sweep: the job-conservation ledger of a single
@@ -67,7 +67,8 @@ pub fn run_point(runner: &Runner, loss: f64, seed: u64) -> SweepPoint {
 pub fn run_point_with(runner: &Runner, fault: FaultPlan, seed: u64) -> SweepPoint {
     let scenario = Scenario::IMixed;
     let loss = fault.loss;
-    let (stats, world) = runner.run_once_faulted(scenario, seed, fault, false, NullProbe);
+    let config = WorldConfig { fault, ..runner.config_for(scenario) };
+    let (stats, world) = runner.run_config(scenario, config, seed, false, NullProbe);
     SweepPoint {
         loss,
         submitted: runner.schedule_for(scenario).count(),

@@ -43,7 +43,7 @@ pub fn run(args: &[String]) -> ExitCode {
     let mut seed = 1u64;
     let mut nodes = 24usize;
     let mut jobs = 18usize;
-    let mut workers = aria_sim::pool::default_budget() + 1;
+    let mut workers = aria_sim::pool::default_lanes();
     let mut self_check = false;
     let mut sweep = false;
     // `--shrink-out PATH` takes a string value, so it is stripped before
@@ -204,12 +204,13 @@ fn random_case(plan_rng: &mut SimRng, nodes: usize, jobs: usize) -> ChaosCase {
 ///
 /// Case derivation is serial — each `fork` advances the master RNG
 /// stream — but the audited runs are pure functions of their case, so
-/// they fan out across `workers` threads. Outcomes are buffered and
-/// reported strictly in schedule order, and any shrink runs serially on
-/// the calling thread, so stdout/stderr are byte-identical to a
-/// `--workers 1` run at every worker count. (On a violation the serial
-/// loop would stop early where the fan-out has already run the later
-/// schedules; that surplus work is pure and its results are discarded.)
+/// they fan out across `workers` lanes of [`aria_sim::pool::map`], the
+/// calling thread included. Outcomes come back and are reported in
+/// schedule order, and any shrink runs serially on the calling thread,
+/// so stdout/stderr are byte-identical to a `--workers 1` run at every
+/// worker count. (On a violation the serial loop would stop early where
+/// the fan-out has already run the later schedules; that surplus work is
+/// pure and its results are discarded.)
 fn chaos(
     schedules: u64,
     seed: u64,
@@ -229,7 +230,7 @@ fn chaos(
             random_case(&mut plan_rng, nodes, jobs)
         })
         .collect();
-    let outcomes = run_cases(&cases, workers);
+    let outcomes = aria_sim::pool::map(&cases, workers, |case| case.execute_plain(None));
     for (k, (case, outcome)) in cases.iter().zip(outcomes).enumerate() {
         let plan = &case.plan;
         println!(
@@ -253,41 +254,6 @@ fn chaos(
     }
     println!("xtask chaos: all {schedules} schedule(s) passed the audit and conservation oracle");
     ExitCode::SUCCESS
-}
-
-/// Executes every case (allow-list `None`) across worker threads drawn
-/// from the shared `aria_sim::pool`, returning outcomes **in case
-/// order**. Each run is independent and deterministic in its case, so
-/// workers claim indices off a shared cursor and the tagged results are
-/// re-sorted — the merge order never depends on thread timing.
-fn run_cases(cases: &[ChaosCase], workers: usize) -> Vec<RunOutcome> {
-    let reservation = aria_sim::pool::reserve(workers.saturating_sub(1));
-    let extra = reservation.workers().min(cases.len().saturating_sub(1));
-    if extra == 0 {
-        return cases.iter().map(|case| case.execute_plain(None)).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let worker = || {
-        let mut out = Vec::new();
-        loop {
-            let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if k >= cases.len() {
-                break;
-            }
-            out.push((k, cases[k].execute_plain(None)));
-        }
-        out
-    };
-    let mut tagged: Vec<(usize, RunOutcome)> = Vec::with_capacity(cases.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..extra).map(|_| scope.spawn(worker)).collect();
-        tagged.extend(worker());
-        for handle in handles {
-            tagged.extend(handle.join().expect("chaos schedule worker panicked"));
-        }
-    });
-    tagged.sort_unstable_by_key(|&(k, _)| k);
-    tagged.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Greedy keep-list shrink: try removing one surviving injection at a

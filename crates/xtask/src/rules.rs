@@ -66,8 +66,8 @@ const RULES: &[Rule] = &[
         name: "thread-spawn",
         patterns: &["thread::spawn", "ThreadPool", "threadpool", "rayon"],
         why: "ambient threading: free-running threads and global pools make scheduling \
-              nondeterministic and oversubscribe cores; use scoped threads (std::thread::scope) \
-              drawing worker permits from aria_sim::pool, as the multi-seed runner does",
+              nondeterministic and oversubscribe cores; use aria_sim::pool::map, the one \
+              ordered parallel map over scoped threads and a shared thread budget",
     },
     Rule {
         name: "io-purity",
@@ -315,7 +315,7 @@ mod tests {
     fn scoped_threads_do_not_trip_the_spawn_rule() {
         let scoped = "std::thread::scope(|scope| {\n    let h = scope.spawn(move || work());\n});\n";
         assert!(rules_hit(scoped).is_empty());
-        assert!(rules_hit("let threads = pool::reserve(want);").is_empty());
+        assert!(rules_hit("let results = pool::map(&items, lanes, run);").is_empty());
     }
 
     #[test]
