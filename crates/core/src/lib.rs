@@ -29,12 +29,11 @@
 //!   overlay (`aria-overlay`), the local schedulers (`aria-grid`), the
 //!   workload models (`aria-workload`) and the measurement layer
 //!   (`aria-metrics`).
-//! * [`central`] — an omniscient centralized meta-scheduler used as an
-//!   upper-bound baseline ablation.
-//! * [`multireq`] — the multiple-simultaneous-requests baseline the
-//!   paper contrasts itself with (its reference \[13\]).
-//! * [`gossip`] — the gossip state-dissemination baseline (its
-//!   reference \[25\]): cached remote loads instead of on-demand floods.
+//! * [`baseline`] — the comparators on one grid substrate: an
+//!   omniscient centralized meta-scheduler (the upper bound on initial
+//!   placement), gossip state dissemination (the paper's reference
+//!   \[25\]: cached remote loads instead of on-demand floods) and
+//!   multiple simultaneous requests (its reference \[13\]).
 //! * [`net`] — the transport nondeterminism switch: [`NetModel::Sampled`]
 //!   draws the paper's latencies and fanout choices bit-for-bit,
 //!   [`NetModel::Lockstep`] makes them pure functions of the state so a
@@ -69,8 +68,7 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-pub mod central;
-pub mod gossip;
+pub mod baseline;
 pub mod config;
 mod dense;
 pub mod driver;
@@ -78,17 +76,25 @@ pub mod explore;
 pub mod fault;
 pub mod logic;
 pub mod msg;
-pub mod multireq;
 pub mod net;
 mod visited;
 pub mod world;
 
-pub use central::CentralScheduler;
-pub use gossip::GossipScheduler;
+pub use baseline::{Baseline, Comparator};
 pub use config::{AriaConfig, OverlayKind, PolicyMix, ReservationPlan, WorldConfig};
 pub use explore::{Action, PendingDelivery};
 pub use fault::{FaultKind, FaultPlan, FaultRecord, PartitionWindow};
 pub use msg::{FloodId, Message};
-pub use multireq::MultiRequestScheduler;
 pub use net::NetModel;
 pub use world::World;
+
+// Each comparator's tests keep a module of the comparator's name.
+#[cfg(test)]
+#[path = "baseline/central_tests.rs"]
+mod central;
+#[cfg(test)]
+#[path = "baseline/gossip_tests.rs"]
+mod gossip;
+#[cfg(test)]
+#[path = "baseline/multireq_tests.rs"]
+mod multireq;

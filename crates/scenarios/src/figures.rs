@@ -234,7 +234,7 @@ impl Campaign {
     /// multiple simultaneous requests (\[13\]), on statistically identical
     /// workloads.
     pub fn baselines(&mut self) -> String {
-        use aria_core::{CentralScheduler, GossipScheduler, MultiRequestScheduler, PolicyMix};
+        use aria_core::{Baseline, Comparator, PolicyMix};
         use aria_sim::Summary;
 
         let aria = self.results(&[Scenario::IMixed]).remove(0);
@@ -259,44 +259,33 @@ scheduler,completion_s,waiting_s,messages
 
         // One run per (comparator, seed) on the runner's lanes, each
         // yielding its completion and waiting summaries and the row's
-        // last column (gossip messages, revoked multi-request replicas).
-        let rows = [("central", ""), ("gossip", ""), ("multireq_k3", " revoked replicas")];
-        let pairs: Vec<(&str, u64)> = rows
-            .iter()
-            .flat_map(|&(name, _)| self.seeds.iter().map(move |&seed| (name, seed)))
-            .collect();
-        let runs = self.runner.map(&pairs, |&(name, seed)| {
+        // last column: messages sent, or the revoked replicas where the
+        // row names them.
+        type LastColumn = fn(&Baseline) -> u64;
+        let messages = |grid: &Baseline| grid.metrics().traffic().total_messages();
+        let rows: [(Comparator, &str, LastColumn, &str); 3] = [
+            (Comparator::Central, "central", messages, ""),
+            (Comparator::Gossip, "gossip", messages, ""),
+            (
+                Comparator::MultiRequest { replicas: 3 },
+                "multireq_k3",
+                Baseline::revoked_replicas,
+                " revoked replicas",
+            ),
+        ];
+        let runs = self.runner.fan_out(&rows, &self.seeds, |&(comparator, _, last, _), seed| {
             let mut jobs = aria_workload::JobGenerator::new(Scenario::IMixed.job_config());
-            let mix = PolicyMix::paper_mixed();
-            match name {
-                "central" => {
-                    let mut central = CentralScheduler::new(nodes, mix, horizon, period, seed);
-                    central.submit_schedule(&schedule, &mut jobs);
-                    let metrics = central.run();
-                    (metrics.completion_summary(), metrics.waiting_summary(), 0.0)
-                }
-                "gossip" => {
-                    let mut gossip = GossipScheduler::new(nodes, mix, horizon, period, seed);
-                    gossip.submit_schedule(&schedule, &mut jobs);
-                    let metrics = gossip.run();
-                    let messages = metrics.traffic().total_messages() as f64;
-                    (metrics.completion_summary(), metrics.waiting_summary(), messages)
-                }
-                _ => {
-                    let mut multi =
-                        MultiRequestScheduler::new(nodes, mix, 3, horizon, period, seed);
-                    multi.submit_schedule(&schedule, &mut jobs);
-                    let metrics = multi.run();
-                    let (completion, waiting) =
-                        (metrics.completion_summary(), metrics.waiting_summary());
-                    (completion, waiting, multi.revoked_replicas() as f64)
-                }
-            }
+            let mut grid =
+                Baseline::new(comparator, nodes, PolicyMix::paper_mixed(), horizon, period, seed);
+            grid.submit_schedule(&schedule, &mut jobs);
+            let metrics = grid.run();
+            let (completion, waiting) = (metrics.completion_summary(), metrics.waiting_summary());
+            (completion, waiting, last(&grid) as f64)
         });
         // Merged in seed order per row, as a serial loop over the seeds
         // would, so the floats and the text do not depend on the lanes.
         let n = self.seeds.len() as f64;
-        for ((name, suffix), runs) in rows.iter().zip(runs.chunks(self.seeds.len())) {
+        for ((_, name, _, suffix), runs) in rows.iter().zip(&runs) {
             let (mut completion, mut waiting, mut last) = (Summary::new(), Summary::new(), 0.0);
             for (run_completion, run_waiting, run_last) in runs {
                 completion.merge(run_completion);

@@ -373,24 +373,19 @@ impl Runner {
         .collect()
     }
 
-    /// Applies `f` to every item on this runner's lanes
-    /// ([`aria_sim::pool::map`]); results in item order.
-    pub(crate) fn map<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        aria_sim::pool::map(items, self.workers, f)
-    }
-
     /// Calls `run(item, seed)` for every item and seed as one
-    /// [`Runner::map`] over the pairs; returns each item's runs in
-    /// `seeds` order.
-    fn fan_out<T: Sync>(
+    /// [`aria_sim::pool::map`] over the pairs on this runner's lanes;
+    /// returns each item's runs in `seeds` order.
+    pub(crate) fn fan_out<T: Sync, R: Send>(
         &self,
         items: &[T],
         seeds: &[u64],
-        run: impl Fn(&T, u64) -> RunStats + Sync,
-    ) -> Vec<Vec<RunStats>> {
+        run: impl Fn(&T, u64) -> R + Sync,
+    ) -> Vec<Vec<R>> {
         let pairs: Vec<(&T, u64)> =
             items.iter().flat_map(|item| seeds.iter().map(move |&seed| (item, seed))).collect();
-        let mut runs = self.map(&pairs, |&(item, seed)| run(item, seed)).into_iter();
+        let mut runs =
+            aria_sim::pool::map(&pairs, self.workers, |&(item, seed)| run(item, seed)).into_iter();
         items.iter().map(|_| runs.by_ref().take(seeds.len()).collect()).collect()
     }
 }

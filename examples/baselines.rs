@@ -1,12 +1,13 @@
-//! ARiA against its comparators: an omniscient centralized
-//! meta-scheduler (the architecture the paper argues against) and the
-//! multiple-simultaneous-requests scheme of the paper's reference [13].
+//! ARiA against its three comparators: an omniscient centralized
+//! meta-scheduler (the architecture the paper argues against), the
+//! gossip load caches of the paper's reference [25] and the
+//! multiple-simultaneous-requests scheme of its reference [13].
 //!
 //! ```text
 //! cargo run --release -p aria-scenarios --example baselines
 //! ```
 
-use aria_core::{CentralScheduler, GossipScheduler, MultiRequestScheduler, PolicyMix, World, WorldConfig};
+use aria_core::{Baseline, Comparator, PolicyMix, World, WorldConfig};
 use aria_sim::{SimDuration, SimTime};
 use aria_workload::{JobGenerator, SubmissionSchedule};
 
@@ -18,28 +19,37 @@ fn schedule() -> SubmissionSchedule {
 }
 
 fn main() {
-    println!("{JOBS} jobs over {NODES} nodes, three schedulers:\n");
+    println!("{JOBS} jobs over {NODES} nodes, four schedulers:\n");
     println!("{:<28} {:>12} {:>10} {:>14}", "scheduler", "completion", "waiting", "messages");
 
-    {
-        let seed = 1u64;
-        // 1. ARiA: fully distributed, with dynamic rescheduling.
-        let mut world = World::new(WorldConfig::small_test(NODES), seed);
-        let mut jobs = JobGenerator::paper_batch();
-        world.submit_schedule(&schedule(), &mut jobs);
-        world.run();
-        let m = world.metrics();
-        println!(
-            "{:<28} {:>9.1}min {:>7.1}min {:>14}",
-            "ARiA (distributed)",
-            m.completion_summary().mean() / 60.0,
-            m.waiting_summary().mean() / 60.0,
-            m.traffic().total_messages(),
-        );
+    let seed = 1u64;
+    // 1. ARiA: fully distributed, with dynamic rescheduling.
+    let mut world = World::new(WorldConfig::small_test(NODES), seed);
+    let mut jobs = JobGenerator::paper_batch();
+    world.submit_schedule(&schedule(), &mut jobs);
+    world.run();
+    let m = world.metrics();
+    println!(
+        "{:<28} {:>9.1}min {:>7.1}min {:>14}",
+        "ARiA (distributed)",
+        m.completion_summary().mean() / 60.0,
+        m.waiting_summary().mean() / 60.0,
+        m.traffic().total_messages(),
+    );
 
-        // 2. Centralized omniscient scheduler: perfect knowledge, no
-        //    messages — the upper bound ARiA gives up for scalability.
-        let mut central = CentralScheduler::new(
+    // 2–4. The comparators, on the same node and job models.
+    let comparators = [
+        // Centralized omniscient scheduler: perfect knowledge, no
+        // messages — the upper bound ARiA gives up for scalability.
+        ("centralized (omniscient)", Comparator::Central),
+        // Gossip dissemination: placements from cached (stale) state.
+        ("gossip caches [25]", Comparator::Gossip),
+        // Multiple simultaneous requests (k = 3) with revocation.
+        ("multi-request (k=3) [13]", Comparator::MultiRequest { replicas: 3 }),
+    ];
+    for (name, comparator) in comparators {
+        let mut grid = Baseline::new(
+            comparator,
             NODES,
             PolicyMix::paper_mixed(),
             SimTime::from_hours(12),
@@ -47,56 +57,19 @@ fn main() {
             seed,
         );
         let mut jobs = JobGenerator::paper_batch();
-        central.submit_schedule(&schedule(), &mut jobs);
-        central.run();
-        let m = central.metrics();
+        grid.submit_schedule(&schedule(), &mut jobs);
+        grid.run();
+        let m = grid.metrics();
+        let last = match comparator {
+            Comparator::MultiRequest { .. } => format!("{} revoked", grid.revoked_replicas()),
+            _ => m.traffic().total_messages().to_string(),
+        };
         println!(
             "{:<28} {:>9.1}min {:>7.1}min {:>14}",
-            "centralized (omniscient)",
+            name,
             m.completion_summary().mean() / 60.0,
             m.waiting_summary().mean() / 60.0,
-            0,
-        );
-
-        // 3. Gossip dissemination: placements from cached (stale) state.
-        let mut gossip = GossipScheduler::new(
-            NODES,
-            PolicyMix::paper_mixed(),
-            SimTime::from_hours(12),
-            SimDuration::from_mins(5),
-            seed,
-        );
-        let mut jobs = JobGenerator::paper_batch();
-        gossip.submit_schedule(&schedule(), &mut jobs);
-        gossip.run();
-        let m = gossip.metrics();
-        println!(
-            "{:<28} {:>9.1}min {:>7.1}min {:>14}",
-            "gossip caches [25]",
-            m.completion_summary().mean() / 60.0,
-            m.waiting_summary().mean() / 60.0,
-            m.traffic().total_messages(),
-        );
-
-        // 4. Multiple simultaneous requests (k = 3) with revocation.
-        let mut multi = MultiRequestScheduler::new(
-            NODES,
-            PolicyMix::paper_mixed(),
-            3,
-            SimTime::from_hours(12),
-            SimDuration::from_mins(5),
-            seed,
-        );
-        let mut jobs = JobGenerator::paper_batch();
-        multi.submit_schedule(&schedule(), &mut jobs);
-        multi.run();
-        let m = multi.metrics();
-        println!(
-            "{:<28} {:>9.1}min {:>7.1}min {:>14}",
-            "multi-request (k=3) [13]",
-            m.completion_summary().mean() / 60.0,
-            m.waiting_summary().mean() / 60.0,
-            format!("{} revoked", multi.revoked_replicas()),
+            last,
         );
     }
 

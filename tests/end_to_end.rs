@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: whole grids simulated end to end,
 //! checking the headline behaviors the paper reports.
 
-use aria_core::{CentralScheduler, MultiRequestScheduler, PolicyMix, World, WorldConfig};
+use aria_core::{Baseline, Comparator, PolicyMix, World, WorldConfig};
 use aria_grid::Policy;
 use aria_scenarios::{Runner, Scenario};
 use aria_sim::{SimDuration, SimTime};
@@ -120,7 +120,8 @@ fn distributed_protocol_approaches_central_baseline() {
     // The omniscient centralized scheduler is an upper bound on initial
     // placement; ARiA with rescheduling should land within a reasonable
     // factor of it on the same workload scale.
-    let mut central = CentralScheduler::new(
+    let mut central = Baseline::new(
+        Comparator::Central,
         80,
         PolicyMix::paper_mixed(),
         SimTime::from_hours(12),
@@ -147,10 +148,10 @@ fn distributed_protocol_approaches_central_baseline() {
 
 #[test]
 fn multireq_baseline_completes_but_wastes_replicas() {
-    let mut grid = MultiRequestScheduler::new(
+    let mut grid = Baseline::new(
+        Comparator::MultiRequest { replicas: 3 },
         80,
         PolicyMix::paper_mixed(),
-        3,
         SimTime::from_hours(12),
         SimDuration::from_mins(5),
         8,
