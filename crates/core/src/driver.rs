@@ -39,6 +39,7 @@
 //! reference \[28\]) instead of the simulator's global visited table.
 
 use crate::config::AriaConfig;
+use crate::dense::PendingRequest;
 use crate::logic;
 use aria_grid::{Cost, JobId, JobSpec, NodeProfile, Policy, SchedulerQueue};
 use aria_overlay::NodeId;
@@ -381,20 +382,39 @@ struct PeerHealth {
     state: PeerState,
 }
 
-/// An initiator's open offer-collection window.
-#[derive(Debug, Clone)]
-struct PendingRound {
-    round: u32,
-    best: Option<(Cost, NodeId)>,
-}
-
-/// An in-flight (unacknowledged) ASSIGN delegation.
+/// An in-flight (unacknowledged) ASSIGN delegation. Unlike the
+/// simulator's [`crate::dense::AssignInFlight`] it has no `by` (the
+/// assigner is always this node) and its epoch counter is per node.
 #[derive(Debug, Clone, Copy)]
 struct ArmedAssign {
     to: NodeId,
     attempt: u32,
     epoch: u32,
     reschedule: bool,
+}
+
+/// Everything this node knows about one job (DESIGN §16 "Bounded
+/// bookkeeping"): opened by a submission or an ASSIGN, dropped when a
+/// steal away from a non-initiator is ACKed or the ring evicts it.
+struct JobBook {
+    spec: JobSpec,
+    initiator: NodeId,
+    /// The open offer window while this node initiates a round.
+    pending: Option<PendingRequest>,
+    /// Offers recorded while a discovery or steal is in flight; the
+    /// retransmit-exhaustion fallback pops the next best.
+    offers: Vec<(Cost, NodeId)>,
+    /// The un-ACKed ASSIGN this node sent.
+    armed: Option<ArmedAssign>,
+    /// The ACKed holder this initiator follows (ACK, `Holding`) until
+    /// the `Done`; its death triggers recovery (§III-D).
+    holder: Option<NodeId>,
+    /// Executed here: later ASSIGNs are duplicates.
+    completed: bool,
+    /// This initiator received the executor's `Done`.
+    settled: bool,
+    /// Terminal here and queued in the retirement ring.
+    retired: bool,
 }
 
 /// One grid node's complete sans-io protocol state machine.
@@ -414,28 +434,10 @@ pub struct NodeDriver {
     seen: BTreeSet<FloodUid>,
     seen_order: VecDeque<FloodUid>,
     flood_seq: u32,
-    /// Specs of jobs this node initiated or holds (the live substitute
-    /// for the simulator's interned job table).
-    specs: BTreeMap<JobId, JobSpec>,
-    /// Initiator of each job this node learned about via ASSIGN.
-    initiator_of: BTreeMap<JobId, NodeId>,
-    /// Open offer windows for jobs this node is initiating.
-    pending: BTreeMap<JobId, PendingRound>,
-    /// Every offer recorded while a job's discovery/steal is in flight
-    /// (retransmit-exhaustion fallback pops the next best from here).
-    offers: BTreeMap<JobId, Vec<(Cost, NodeId)>>,
-    /// Armed ASSIGN retransmit state per delegated job.
-    armed: BTreeMap<JobId, ArmedAssign>,
+    /// Per-job state: the live substitute for the simulator's job table.
+    books: BTreeMap<JobId, JobBook>,
     assign_epoch: u32,
-    /// Jobs that finished executing here (idempotent-ASSIGN suppression).
-    completed: BTreeSet<JobId>,
-    /// ACKed delegations this initiator still tracks: job → current
-    /// holder, updated by ACK/Holding, cleared by the executor's Done.
-    /// When the holder is declared dead the job is recovered (§III-D).
-    delegated: BTreeMap<JobId, NodeId>,
-    /// Jobs this initiator knows completed remotely (Done received).
-    settled: BTreeSet<JobId>,
-    /// FIFO ring of terminal jobs; overflow purges their bookkeeping.
+    /// FIFO ring of retired books; overflow drops the oldest.
     retired_order: VecDeque<JobId>,
     /// Reused candidate buffer for fan-out sampling (flood seeds and
     /// forwarding targets), so a flood hop allocates no list of its own.
@@ -451,10 +453,10 @@ impl NodeDriver {
     /// covers).
     pub const MAX_VISITED: usize = 256;
     /// Terminal-job memory: how many retired (completed, settled, lost
-    /// or abandoned) jobs keep their spec/initiator/dedup bookkeeping.
-    /// Within this retention window duplicate ASSIGNs are still
-    /// suppressed; beyond it the oldest entries are purged so a
-    /// long-haul soak cannot grow memory without bound.
+    /// or abandoned) jobs keep their book. Within this retention window
+    /// duplicate ASSIGNs are still suppressed; beyond it the oldest
+    /// books are dropped so a long-haul soak cannot grow memory without
+    /// bound.
     pub const MAX_RETIRED: usize = 4096;
 
     /// Builds a driver for node `id`. `peers` is the full known overlay
@@ -486,15 +488,8 @@ impl NodeDriver {
             seen: BTreeSet::new(),
             seen_order: VecDeque::new(),
             flood_seq: 0,
-            specs: BTreeMap::new(),
-            initiator_of: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            offers: BTreeMap::new(),
-            armed: BTreeMap::new(),
+            books: BTreeMap::new(),
             assign_epoch: 0,
-            completed: BTreeSet::new(),
-            delegated: BTreeMap::new(),
-            settled: BTreeSet::new(),
             retired_order: VecDeque::new(),
             scratch: Vec::new(),
         }
@@ -503,11 +498,6 @@ impl NodeDriver {
     /// This node's id.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// Jobs completed on this node so far.
-    pub fn completed_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.completed.iter().copied()
     }
 
     /// Initial outputs before any input arrives: the periodic INFORM
@@ -554,25 +544,44 @@ impl NodeDriver {
 
     fn submit(&mut self, now: SimTime, spec: JobSpec, out: &mut Vec<Output>) {
         let job = spec.id;
-        self.specs.insert(job, spec);
-        self.initiator_of.insert(job, self.id);
+        self.open_book(spec, self.id);
         out.push(Output::Probe(ProbeEvent::JobSubmitted { job, initiator: self.id }));
         self.start_round(now, job, 0, out);
+    }
+
+    /// Opens the job's book, or refreshes the spec and initiator of the
+    /// one already open.
+    fn open_book(&mut self, spec: JobSpec, initiator: NodeId) -> &mut JobBook {
+        let book = self.books.entry(spec.id).or_insert_with(|| JobBook {
+            spec,
+            initiator,
+            pending: None,
+            offers: Vec::new(),
+            armed: None,
+            holder: None,
+            completed: false,
+            settled: false,
+            retired: false,
+        });
+        book.spec = spec;
+        book.initiator = initiator;
+        book
     }
 
     fn start_round(&mut self, now: SimTime, job: JobId, round: u32, out: &mut Vec<Output>) {
         // A fresh discovery supersedes leftovers: recorded offers are
         // stale and any armed retransmit is obsolete (its pending
         // timeout goes stale through the disarm).
-        self.offers.insert(job, Vec::new());
-        self.armed.remove(&job);
-        let spec = self.specs[&job];
+        let book = self.books.get_mut(&job).expect("discovery runs for a booked job");
+        book.offers = Vec::new();
+        book.armed = None;
+        let spec = book.spec;
         let own_bid = if logic::can_bid(&self.profile, self.queue.policy(), &spec) {
             Some((self.queue.cost_of_candidate(&spec, now, &self.profile), self.id))
         } else {
             None
         };
-        self.pending.insert(job, PendingRound { round, best: own_bid });
+        book.pending = Some(PendingRequest { round, best: own_bid });
 
         let flood = self.next_flood();
         // Dead peers are excluded from flood seeding: their bids cannot
@@ -616,7 +625,7 @@ impl NodeDriver {
         match timer {
             Timer::AcceptWindow { job } => self.close_window(now, job, out),
             Timer::RetryRequest { job, round } => {
-                if !self.completed.contains(&job) && !self.pending.contains_key(&job) {
+                if self.books.get(&job).is_some_and(|b| !b.completed && b.pending.is_none()) {
                     self.start_round(now, job, round, out);
                 }
             }
@@ -630,14 +639,14 @@ impl NodeDriver {
     }
 
     fn close_window(&mut self, now: SimTime, job: JobId, out: &mut Vec<Output>) {
-        let Some(pending) = self.pending.remove(&job) else {
+        let Some(pending) = self.books.get_mut(&job).and_then(|b| b.pending.take()) else {
             return;
         };
         // The best bidder may have been declared dead while the window
         // was open; fall back to the next-best live offer, then to the
         // ordinary empty-window retry path.
         let winner = match pending.best {
-            Some((_cost, w)) if w == self.id || !self.is_dead(w) => Some(w),
+            Some((_cost, w)) if w == self.id || !is_dead(&self.membership, w) => Some(w),
             Some(_) => self.pop_live_offer(job, None).map(|(_, next)| next),
             None => None,
         };
@@ -652,8 +661,7 @@ impl NodeDriver {
                 if winner == self.id {
                     self.enqueue_job(now, job, out);
                 } else {
-                    let spec = self.specs[&job];
-                    self.arm_assign(job, winner, false, out);
+                    let (_, spec) = self.arm_assign(job, winner, false, out);
                     out.push(Output::Send {
                         to: winner,
                         msg: LiveMsg::Assign { initiator: self.id, spec },
@@ -682,26 +690,26 @@ impl NodeDriver {
     }
 
     fn assign_timeout(&mut self, now: SimTime, job: JobId, epoch: u32, out: &mut Vec<Output>) {
-        let Some(a) = self.armed.get(&job).copied() else {
-            return; // ACKed, superseded, or recovered — stand down
+        let Some(book) = self.books.get_mut(&job) else {
+            return;
         };
-        if a.epoch != epoch {
-            return; // a newer delegation owns the timer now
-        }
-        if self.completed.contains(&job) || self.holds(job) {
-            self.armed.remove(&job);
+        let Some(a) = book.armed.filter(|a| a.epoch == epoch) else {
+            return; // ACKed, superseded by a newer delegation, or recovered
+        };
+        if book.completed || holds(&self.queue, job) {
+            book.armed = None;
             return;
         }
         // A dead assignee short-circuits the remaining retransmit
         // budget: the failure detector already out-waited any backoff,
         // so go straight to the recorded-offer fallback / failsafe.
-        if !self.is_dead(a.to) && logic::may_retransmit(a.attempt, self.cfg.aria.assign_max_retries)
+        if !is_dead(&self.membership, a.to)
+            && logic::may_retransmit(a.attempt, self.cfg.aria.assign_max_retries)
         {
             let attempt = a.attempt + 1;
-            self.armed.insert(job, ArmedAssign { attempt, ..a });
+            book.armed = Some(ArmedAssign { attempt, ..a });
             out.push(Output::Probe(ProbeEvent::AssignRetransmit { job, to: a.to, attempt }));
-            let initiator = self.initiator_of.get(&job).copied().unwrap_or(self.id);
-            let spec = self.specs[&job];
+            let (initiator, spec) = (book.initiator, book.spec);
             out.push(Output::Send { to: a.to, msg: LiveMsg::Assign { initiator, spec } });
             out.push(Output::StartTimer {
                 after: logic::assign_backoff(self.cfg.aria.assign_ack_timeout, attempt),
@@ -710,53 +718,48 @@ impl NodeDriver {
             return;
         }
         // Retries exhausted (or the target died): delegation abandoned.
-        self.armed.remove(&job);
-        self.delegation_failed(now, job, a.to, a.reschedule, out);
+        book.armed = None;
+        self.delegation_failed(now, job, a, out);
     }
 
     /// Pops the best recorded offer for `job` from a node that is not
     /// `exclude` and not declared dead (this node itself always counts
     /// as live).
     fn pop_live_offer(&mut self, job: JobId, exclude: Option<NodeId>) -> Option<(Cost, NodeId)> {
-        let mut list = self.offers.remove(&job)?;
-        let mut found = None;
-        while let Some((cost, next)) = logic::pop_best_offer(&mut list) {
-            if Some(next) != exclude && (next == self.id || !self.is_dead(next)) {
-                found = Some((cost, next));
-                break;
+        let offers = &mut self.books.get_mut(&job)?.offers;
+        while let Some((cost, next)) = logic::pop_best_offer(offers) {
+            if Some(next) != exclude && (next == self.id || !is_dead(&self.membership, next)) {
+                return Some((cost, next));
             }
         }
-        self.offers.insert(job, list);
-        found
+        None
     }
 
-    /// The delegation of `job` to `failed` is abandoned (retransmit
-    /// budget exhausted, or the target was declared dead): fall back to
-    /// the next-best live recorded offer, then to the §III-D failsafe.
+    /// The ASSIGN `failed` of `job` is abandoned (retransmit budget
+    /// exhausted, or the target was declared dead): fall back to the
+    /// next-best live recorded offer, then to the §III-D failsafe.
     fn delegation_failed(
         &mut self,
         now: SimTime,
         job: JobId,
-        failed: NodeId,
-        reschedule: bool,
+        failed: ArmedAssign,
         out: &mut Vec<Output>,
     ) {
-        if self.completed.contains(&job) || self.settled.contains(&job) || self.holds(job) {
+        if self.books.get(&job).is_some_and(|b| b.completed || b.settled) || holds(&self.queue, job)
+        {
             return;
         }
-        if let Some((_cost, next)) = self.pop_live_offer(job, Some(failed)) {
+        if let Some((_cost, next)) = self.pop_live_offer(job, Some(failed.to)) {
             out.push(Output::Probe(ProbeEvent::Assigned {
                 job,
                 by: self.id,
                 to: next,
-                reschedule,
+                reschedule: failed.reschedule,
             }));
             if next == self.id {
                 self.enqueue_job(now, job, out);
             } else {
-                let initiator = self.initiator_of.get(&job).copied().unwrap_or(self.id);
-                let spec = self.specs[&job];
-                self.arm_assign(job, next, reschedule, out);
+                let (initiator, spec) = self.arm_assign(job, next, failed.reschedule, out);
                 out.push(Output::Send { to: next, msg: LiveMsg::Assign { initiator, spec } });
             }
             return;
@@ -775,23 +778,19 @@ impl NodeDriver {
     }
 
     fn recover(&mut self, now: SimTime, job: JobId, out: &mut Vec<Output>) {
-        if self.completed.contains(&job)
-            || self.settled.contains(&job)
-            || self.holds(job)
-            || self.pending.contains_key(&job)
+        let book = self.books.get(&job);
+        if book.is_some_and(|b| b.completed || b.settled || b.pending.is_some())
+            || holds(&self.queue, job)
         {
             return; // demonstrably fine, or discovery already underway
         }
-        match self.initiator_of.get(&job) {
-            Some(&initiator) if initiator == self.id => {
-                out.push(Output::Probe(ProbeEvent::RecoveryStarted { job, initiator }));
-                self.start_round(now, job, 0, out);
-            }
-            _ => {
-                out.push(Output::Probe(ProbeEvent::JobLost { job }));
-                out.push(Output::Lost { job });
-                self.retire(job);
-            }
+        if book.is_some_and(|b| b.initiator == self.id) {
+            out.push(Output::Probe(ProbeEvent::RecoveryStarted { job, initiator: self.id }));
+            self.start_round(now, job, 0, out);
+        } else {
+            out.push(Output::Probe(ProbeEvent::JobLost { job }));
+            out.push(Output::Lost { job });
+            self.retire(job);
         }
     }
 
@@ -877,62 +876,51 @@ impl NodeDriver {
     /// recovered now instead of waiting out retransmit/failsafe timers.
     fn peer_died(&mut self, now: SimTime, peer: NodeId, out: &mut Vec<Output>) {
         // Un-ACKed ASSIGNs armed at this node: immediate offer fallback.
-        let armed_jobs: Vec<JobId> = self
-            .armed
-            .iter()
-            .filter(|(_, a)| a.to == peer)
-            .map(|(&job, _)| job)
-            .collect();
-        for job in armed_jobs {
-            let a = self.armed.remove(&job).expect("collected above");
-            self.delegation_failed(now, job, a.to, a.reschedule, out);
+        let armed: Vec<JobId> = self.jobs_where(|b| b.armed.is_some_and(|a| a.to == peer));
+        for job in armed {
+            if let Some(a) = self.books.get_mut(&job).and_then(|b| b.armed.take()) {
+                self.delegation_failed(now, job, a, out);
+            }
         }
         // ACKed delegations tracked by this initiator: failsafe now.
-        let held: Vec<JobId> = self
-            .delegated
-            .iter()
-            .filter(|&(_, &holder)| holder == peer)
-            .map(|(&job, _)| job)
-            .collect();
-        for job in held {
-            self.delegated.remove(&job);
+        for job in self.jobs_where(|b| b.holder == Some(peer)) {
+            if let Some(book) = self.books.get_mut(&job) {
+                book.holder = None;
+            }
             self.recover(now, job, out);
         }
     }
 
-    fn is_dead(&self, node: NodeId) -> bool {
-        self.membership.get(&node).is_some_and(|h| h.state == PeerState::Dead)
+    /// The booked jobs matching `pred`, in `JobId` order.
+    fn jobs_where(&self, pred: impl Fn(&JobBook) -> bool) -> Vec<JobId> {
+        self.books.iter().filter(|(_, b)| pred(b)).map(|(&job, _)| job).collect()
     }
 
-    /// The job's executor reported completion: stop tracking it.
+    /// The job's executor reported completion: stop tracking it. A
+    /// `Done` for a job this node has no book for creates nothing.
     fn settle(&mut self, job: JobId) {
-        self.delegated.remove(&job);
-        self.offers.remove(&job);
-        if self.settled.insert(job) {
-            self.retire(job);
-        }
+        let Some(book) = self.books.get_mut(&job).filter(|b| !b.settled) else {
+            return;
+        };
+        book.settled = true;
+        book.holder = None;
+        book.offers = Vec::new();
+        self.retire(job);
     }
 
-    /// Marks a job terminal (completed, settled, lost or abandoned) and
-    /// bounds per-job bookkeeping: the FIFO ring keeps the most recent
-    /// [`Self::MAX_RETIRED`] terminal jobs — their completed/settled
-    /// entries still suppress duplicates — and purges everything about
-    /// jobs evicted past the window.
+    /// Marks a booked job terminal (completed, settled, lost or
+    /// abandoned) and bounds the books: the FIFO ring keeps the most
+    /// recent [`Self::MAX_RETIRED`] retired books, whose flags still
+    /// suppress duplicates, and drops the book it evicts.
     fn retire(&mut self, job: JobId) {
-        if self.retired_order.contains(&job) {
-            return;
+        match self.books.get_mut(&job) {
+            Some(book) if !book.retired => book.retired = true,
+            _ => return,
         }
         self.retired_order.push_back(job);
         if self.retired_order.len() > Self::MAX_RETIRED {
             if let Some(old) = self.retired_order.pop_front() {
-                self.specs.remove(&old);
-                self.initiator_of.remove(&old);
-                self.pending.remove(&old);
-                self.offers.remove(&old);
-                self.armed.remove(&old);
-                self.completed.remove(&old);
-                self.delegated.remove(&old);
-                self.settled.remove(&old);
+                self.books.remove(&old);
             }
         }
     }
@@ -943,7 +931,7 @@ impl NodeDriver {
         }
         let candidates = self.queue.inform_candidates(now, self.cfg.aria.inform_batch);
         for job in candidates {
-            let Some(spec) = self.specs.get(&job).copied() else {
+            let Some(spec) = self.books.get(&job).map(|b| b.spec) else {
                 continue;
             };
             let cost =
@@ -1060,34 +1048,15 @@ impl NodeDriver {
             }
             LiveMsg::Accept { from, job, cost } => self.accept(now, from, job, cost, out),
             LiveMsg::Assign { initiator, spec } => self.assigned(now, from, initiator, spec, out),
-            LiveMsg::Ack { from, job } => {
-                if let Some(a) = self.armed.get(&job) {
-                    if a.to == from {
-                        self.armed.remove(&job);
-                        out.push(Output::Probe(ProbeEvent::AckReceived { job, from }));
-                        // The initiator keeps tracking ACKed delegations
-                        // until the executor's Done settles them, so a
-                        // holder dying post-ACK is recoverable.
-                        if self.initiator_of.get(&job) == Some(&self.id)
-                            && !self.settled.contains(&job)
-                            && !self.completed.contains(&job)
-                        {
-                            self.delegated.insert(job, from);
-                        }
-                    }
-                }
-            }
+            LiveMsg::Ack { from, job } => self.acked(from, job, out),
             LiveMsg::Join { node } => self.note_alive(now, node, out),
             LiveMsg::Leave { node } => self.mark_dead(now, node, out),
             LiveMsg::Heartbeat { .. } => {} // note_alive above did the work
             LiveMsg::Holding { job, node } => {
                 // Holder update for a job this node initiated: failsafe
                 // tracking follows the job through §III-D steals.
-                if self.initiator_of.get(&job) == Some(&self.id)
-                    && !self.settled.contains(&job)
-                    && !self.completed.contains(&job)
-                {
-                    self.delegated.insert(job, node);
+                if let Some(book) = self.books.get_mut(&job).filter(|b| b.initiator == self.id) {
+                    book.holder = Some(node);
                 }
             }
             LiveMsg::Submit { spec } => self.submit(now, spec, out),
@@ -1098,16 +1067,41 @@ impl NodeDriver {
         }
     }
 
+    /// An ACK for an ASSIGN this node armed at `from`.
+    fn acked(&mut self, from: NodeId, job: JobId, out: &mut Vec<Output>) {
+        let Some(book) = self.books.get_mut(&job).filter(|b| b.armed.is_some_and(|a| a.to == from))
+        else {
+            return;
+        };
+        book.armed = None;
+        out.push(Output::Probe(ProbeEvent::AckReceived { job, from }));
+        if book.initiator == self.id {
+            // The initiator keeps tracking ACKed delegations until the
+            // executor's Done settles them, so a holder dying post-ACK
+            // is recoverable. (Once the job is settled or completed,
+            // recovering it is a no-op, so a late holder is harmless.)
+            book.holder = Some(from);
+        } else if !book.retired {
+            // A steal moved the job on from here, and only its
+            // initiator tracks it further: nothing reads this book
+            // again. A retired book stays for the ring to evict.
+            self.books.remove(&job);
+        }
+    }
+
     fn accept(&mut self, now: SimTime, from: NodeId, job: JobId, cost: Cost, out: &mut Vec<Output>) {
+        let Some(book) = self.books.get_mut(&job) else {
+            return; // no discovery here and nothing held: stale offer
+        };
         // Offer for a job this node initiated and is still collecting?
-        if let Some(pending) = self.pending.get_mut(&job) {
+        if let Some(pending) = &mut book.pending {
             let better = logic::better_offer(pending.best, cost);
             if better {
                 pending.best = Some((cost, from));
             }
             // Remember every offer: the retransmit-exhaustion fallback
             // pops the next best (always on, live transports are lossy).
-            self.offers.entry(job).or_default().push((cost, from));
+            book.offers.push((cost, from));
             out.push(Output::Probe(ProbeEvent::OfferReceived {
                 job,
                 initiator: self.id,
@@ -1128,16 +1122,14 @@ impl NodeDriver {
             return; // conditions changed; the move no longer pays off
         }
         self.queue.remove_waiting(job).expect("cost_of_waiting implies waiting");
-        let initiator = self.initiator_of.get(&job).copied().unwrap_or(self.id);
-        let spec = self.specs[&job];
         out.push(Output::Probe(ProbeEvent::Assigned {
             job,
             by: self.id,
             to: from,
             reschedule: true,
         }));
-        self.offers.insert(job, Vec::new());
-        self.arm_assign(job, from, true, out);
+        book.offers = Vec::new();
+        let (initiator, spec) = self.arm_assign(job, from, true, out);
         out.push(Output::Send { to: from, msg: LiveMsg::Assign { initiator, spec } });
     }
 
@@ -1155,13 +1147,8 @@ impl NodeDriver {
         out: &mut Vec<Output>,
     ) {
         let job = spec.id;
-        self.specs.insert(job, spec);
-        self.initiator_of.insert(job, initiator);
-        if self.completed.contains(&job)
-            || self.settled.contains(&job)
-            || self.pending.contains_key(&job)
-            || self.holds(job)
-        {
+        let book = self.open_book(spec, initiator);
+        if book.completed || book.settled || book.pending.is_some() || holds(&self.queue, job) {
             out.push(Output::Probe(ProbeEvent::DuplicateSuppressed {
                 kind: MsgKind::Assign,
                 job,
@@ -1185,7 +1172,7 @@ impl NodeDriver {
     // --- local execution -------------------------------------------------
 
     fn enqueue_job(&mut self, now: SimTime, job: JobId, out: &mut Vec<Output>) {
-        let spec = self.specs[&job];
+        let spec = self.books[&job].spec;
         self.queue.enqueue(spec, now, &self.profile);
         out.push(Output::Probe(ProbeEvent::Enqueued {
             job,
@@ -1217,19 +1204,17 @@ impl NodeDriver {
     fn complete_execution(&mut self, now: SimTime, job: JobId, out: &mut Vec<Output>) {
         let finished = self.queue.complete_running().expect("completion timer for running job");
         debug_assert_eq!(finished.spec.id, job, "completion timer job mismatch");
-        self.completed.insert(job);
-        self.offers.remove(&job);
+        let initiator = self.books.get_mut(&job).map(|book| {
+            book.completed = true;
+            book.offers = Vec::new();
+            book.initiator
+        });
         out.push(Output::Probe(ProbeEvent::Completed { job, node: self.id }));
         out.push(Output::Completed { job });
         // Tell the initiator so it stops tracking the delegation (and
         // never tries to recover an already-finished job).
-        if let Some(&initiator) = self.initiator_of.get(&job) {
-            if initiator != self.id {
-                out.push(Output::Send {
-                    to: initiator,
-                    msg: LiveMsg::Done { job, node: self.id },
-                });
-            }
+        if let Some(initiator) = initiator.filter(|&i| i != self.id) {
+            out.push(Output::Send { to: initiator, msg: LiveMsg::Done { job, node: self.id } });
         }
         self.retire(job);
         self.try_start(now, out);
@@ -1271,10 +1256,9 @@ impl NodeDriver {
         let mut targets = std::mem::take(&mut self.scratch);
         targets.clear();
         targets.extend(
-            self.neighbors
-                .iter()
-                .copied()
-                .filter(|n| *n != self.id && !visited.contains(n) && !self.is_dead(*n)),
+            self.neighbors.iter().copied().filter(|n| {
+                *n != self.id && !visited.contains(n) && !is_dead(&self.membership, *n)
+            }),
         );
         self.rng.sample_in_place(&mut targets, fanout);
         if let Some((&last, rest)) = targets.split_last() {
@@ -1289,22 +1273,35 @@ impl NodeDriver {
         self.scratch = targets;
     }
 
-    /// Arms the ACK/retransmit machinery for an ASSIGN about to be sent.
-    fn arm_assign(&mut self, job: JobId, to: NodeId, reschedule: bool, out: &mut Vec<Output>) {
+    /// Arms the ACK/retransmit machinery for an ASSIGN about to be
+    /// sent, and returns the initiator and spec the ASSIGN carries.
+    fn arm_assign(
+        &mut self,
+        job: JobId,
+        to: NodeId,
+        reschedule: bool,
+        out: &mut Vec<Output>,
+    ) -> (NodeId, JobSpec) {
         self.assign_epoch = self.assign_epoch.wrapping_add(1);
         let epoch = self.assign_epoch;
-        self.armed.insert(job, ArmedAssign { to, attempt: 0, epoch, reschedule });
+        let book = self.books.get_mut(&job).expect("an ASSIGN goes out for a booked job");
+        book.armed = Some(ArmedAssign { to, attempt: 0, epoch, reschedule });
         out.push(Output::StartTimer {
             after: self.cfg.aria.assign_ack_timeout,
             timer: Timer::AssignTimeout { job, epoch },
         });
+        (book.initiator, book.spec)
     }
+}
 
-    /// Whether this node currently holds the job (waiting or running).
-    fn holds(&self, job: JobId) -> bool {
-        self.queue.is_waiting(job)
-            || self.queue.running().is_some_and(|r| r.spec.id == job)
-    }
+/// Whether the failure detector declared `node` dead.
+fn is_dead(membership: &BTreeMap<NodeId, PeerHealth>, node: NodeId) -> bool {
+    membership.get(&node).is_some_and(|h| h.state == PeerState::Dead)
+}
+
+/// Whether `queue` holds the job (waiting or running).
+fn holds(queue: &SchedulerQueue, job: JobId) -> bool {
+    queue.is_waiting(job) || queue.running().is_some_and(|r| r.spec.id == job)
 }
 
 #[cfg(test)]
@@ -1756,12 +1753,7 @@ mod tests {
         let quotes: Vec<(Cost, NodeId)> = cluster
             .drivers
             .iter()
-            .map(|d| {
-                (
-                    d.queue.cost_of_candidate(&probe_spec, cluster.now, &d.profile),
-                    d.id(),
-                )
-            })
+            .map(|d| (d.queue.cost_of_candidate(&probe_spec, cluster.now, &d.profile), d.id()))
             .collect();
         let best = quotes.iter().map(|&(c, _)| c).min().unwrap();
         let at = cluster.now;
@@ -1858,8 +1850,8 @@ mod tests {
         assert_eq!(driver.seen.len(), NodeDriver::MAX_SEEN);
     }
 
-    /// Terminal-job bookkeeping (specs, completions, delegation state)
-    /// is bounded by [`NodeDriver::MAX_RETIRED`]: a soak that executes
+    /// Terminal-job bookkeeping (one book per job) is bounded by
+    /// [`NodeDriver::MAX_RETIRED`]: a soak that executes
     /// far more jobs than the ring holds can't grow memory without
     /// bound, yet recent jobs still suppress duplicate ASSIGNs.
     #[test]
@@ -1897,13 +1889,7 @@ mod tests {
             }
         }
         let cap = NodeDriver::MAX_RETIRED + 1;
-        assert!(driver.specs.len() <= cap, "specs grew to {}", driver.specs.len());
-        assert!(driver.completed.len() <= cap, "completed grew to {}", driver.completed.len());
-        assert!(
-            driver.initiator_of.len() <= cap,
-            "initiator_of grew to {}",
-            driver.initiator_of.len()
-        );
+        assert!(driver.books.len() <= cap, "books grew to {}", driver.books.len());
         // A recent job (inside the ring) still dedups on re-delivery.
         let recent = total - 1;
         let dup = driver.handle(
@@ -1918,6 +1904,58 @@ mod tests {
                 .any(|o| matches!(o, Output::Probe(ProbeEvent::DuplicateSuppressed { .. }))),
             "recently retired job must still suppress duplicates"
         );
+    }
+
+    /// A node a §III-D steal moved a job away from drops the job's book
+    /// once the steal is ACKed (unless it is the job's initiator), so at
+    /// quiescence every book left anywhere is a retired one.
+    #[test]
+    fn stolen_away_jobs_leave_no_record() {
+        let mut cluster = Cluster::new(5, fast_cfg());
+        cluster.start();
+        for j in 0..40u64 {
+            cluster.submit(SimTime::ZERO, (j % 5) as u32, spec(j, 60 + (j * 37 % 11) * 20));
+        }
+        cluster.run(SimTime::from_hours(96));
+        assert_eq!(cluster.completed.len(), 40, "every job completes");
+        let steals = cluster.assigned.iter().filter(|&&(_, _, reschedule)| reschedule).count();
+        assert!(steals >= 1, "the workload must exercise §III-D steals");
+        for driver in &cluster.drivers {
+            let open: Vec<JobId> =
+                driver.books.iter().filter(|(_, b)| !b.retired).map(|(&j, _)| j).collect();
+            assert!(open.is_empty(), "node {:?} keeps unretired books {open:?}", driver.id());
+            assert_eq!(driver.books.len(), driver.retired_order.len());
+        }
+    }
+
+    /// Frames about jobs a node never saw (`Done`, `Ack`, `Holding`,
+    /// `Accept`) create no book and no ring entry.
+    #[test]
+    fn frames_about_unseen_jobs_create_no_record() {
+        let peers = vec![NodeId::new(0), NodeId::new(1)];
+        let mut driver = NodeDriver::new(
+            NodeId::new(0),
+            profile(1.0),
+            Policy::Fcfs,
+            fast_cfg(),
+            7,
+            peers.clone(),
+            peers,
+        );
+        let from = NodeId::new(1);
+        for j in 0..10_000u64 {
+            let job = JobId::new(j);
+            for msg in [
+                LiveMsg::Done { job, node: from },
+                LiveMsg::Ack { from, job },
+                LiveMsg::Holding { job, node: from },
+                LiveMsg::Accept { from, job, cost: Cost::from_ettc(SimDuration::from_secs(1)) },
+            ] {
+                driver.handle(SimTime::from_secs(1), Input::Msg { from, msg });
+            }
+        }
+        assert!(driver.books.is_empty(), "{} books opened", driver.books.len());
+        assert!(driver.retired_order.is_empty(), "{} ring entries", driver.retired_order.len());
     }
 
     // --- churn: failure detection, exclusion, rejoin ----------------------
