@@ -54,14 +54,12 @@
 pub mod diff;
 pub mod event;
 pub mod record;
-pub mod report;
 pub mod schema;
 pub mod views;
 
 pub use diff::{first_divergence, Divergence};
 pub use event::{FloodKind, MsgKind, ProbeEvent};
 pub use record::{RingRecorder, Trace, TraceEntry, TraceMeta};
-pub use report::{MemorySink, NullSink, Progress, ProgressSink, StderrSink};
 pub use schema::{SchemaError, SCHEMA_NAME, SCHEMA_VERSION};
 pub use views::{job_timeline, lifecycles, render_timeline, summarize, Lifecycle, TraceSummary};
 

@@ -23,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-use aria_probe::{Progress, ProgressSink, StderrSink};
 use aria_scenarios::{Campaign, Runner};
 use std::process::ExitCode;
 
@@ -95,22 +94,15 @@ fn main() -> ExitCode {
         runner = runner.workers(workers);
     }
     let seeds: Vec<u64> = (1..=args.seeds).collect();
-    // Progress goes through the aria-probe reporting layer, so every
-    // long-running tool in the workspace renders it identically (and
-    // tests can capture it with a MemorySink).
-    let mut progress = StderrSink;
-    progress.report(&Progress::new(
-        "reproduce",
-        format!(
-            "{} over {} seed(s){}",
-            args.ids.join(", "),
-            args.seeds,
-            match args.scale {
-                Some((n, j)) => format!(" at reduced scale ({n} nodes, {j} jobs)"),
-                None => " at paper scale (500 nodes, 1000 jobs)".into(),
-            }
-        ),
-    ));
+    eprintln!(
+        "reproduce: {} over {} seed(s){}",
+        args.ids.join(", "),
+        args.seeds,
+        match args.scale {
+            Some((n, j)) => format!(" at reduced scale ({n} nodes, {j} jobs)"),
+            None => " at paper scale (500 nodes, 1000 jobs)".into(),
+        }
+    );
 
     if let Some(dir) = &args.out {
         if let Err(error) = std::fs::create_dir_all(dir) {
@@ -121,7 +113,7 @@ fn main() -> ExitCode {
     let total = args.ids.len();
     let mut campaign = Campaign::new(runner, seeds);
     for (done, id) in args.ids.iter().enumerate() {
-        progress.report(&Progress::new("reproduce", format!("rendering {id}")).with_step(done + 1, total));
+        eprintln!("reproduce: [{}/{total}] rendering {id}", done + 1);
         match campaign.render(id) {
             Some(output) => {
                 println!("{output}");
@@ -131,7 +123,7 @@ fn main() -> ExitCode {
                         eprintln!("cannot write {}: {error}", path.display());
                         return ExitCode::FAILURE;
                     }
-                    progress.report(&Progress::new("reproduce", format!("wrote {}", path.display())));
+                    eprintln!("reproduce: wrote {}", path.display());
                 }
             }
             None => {
@@ -142,6 +134,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    progress.report(&Progress::new("reproduce", format!("done ({total} artifact(s))")));
+    eprintln!("reproduce: done ({total} artifact(s))");
     ExitCode::SUCCESS
 }

@@ -8,6 +8,7 @@
 use crate::catalog::Scenario;
 use crate::plot::ascii_chart;
 use crate::runner::{Runner, ScenarioResult};
+use aria_core::WorldConfig;
 use aria_metrics::TrafficClass;
 use aria_sim::TimeSeries;
 use std::collections::BTreeMap;
@@ -304,42 +305,15 @@ scheduler,completion_s,waiting_s,messages
     }
 
     /// Beyond the paper: the design-choice ablations (DESIGN.md §7) at
-    /// the campaign's scale and seeds. Each row runs iMixed's workload
-    /// on an edit of its world config: matching nodes keep
+    /// the campaign's scale and seeds. The reference row runs iMixed
+    /// as configured; each other row runs its workload on one edit of
+    /// its world config (`ABLATION_ROWS`): matching nodes keep
     /// forwarding the REQUEST flood or not, the overlay family and the
     /// local scheduler (the paper's §VI future work), and strict FCFS
     /// against EASY backfill under moderate advance reservations.
     pub fn ablations(&mut self) -> String {
-        use aria_core::{OverlayKind, PolicyMix, ReservationPlan, WorldConfig};
-        use aria_grid::Policy;
-
-        type Edit = fn(&mut WorldConfig);
-        let rows: [(&str, &str, Edit); 12] = [
-            ("forward_on_match", "false", |c| c.aria.forward_on_match = false),
-            ("forward_on_match", "true", |c| c.aria.forward_on_match = true),
-            ("overlay", "blatant", |c| c.overlay = OverlayKind::Blatant),
-            ("overlay", "random_regular_4", |c| {
-                c.overlay = OverlayKind::RandomRegular { degree: 4 }
-            }),
-            ("overlay", "small_world_4_0.2", |c| {
-                c.overlay = OverlayKind::SmallWorld { k: 4, beta: 0.2 }
-            }),
-            ("overlay", "ring", |c| c.overlay = OverlayKind::Ring),
-            ("policies", "FCFS", |c| c.policies = PolicyMix::Uniform(Policy::Fcfs)),
-            ("policies", "SJF", |c| c.policies = PolicyMix::Uniform(Policy::Sjf)),
-            ("policies", "LJF", |c| c.policies = PolicyMix::Uniform(Policy::Ljf)),
-            ("policies", "PRIORITY", |c| c.policies = PolicyMix::Uniform(Policy::Priority)),
-            ("reservations", "FCFS", |c| {
-                c.reservations = Some(ReservationPlan::moderate());
-                c.policies = PolicyMix::Uniform(Policy::Fcfs);
-            }),
-            ("reservations", "BACKFILL", |c| {
-                c.reservations = Some(ReservationPlan::moderate());
-                c.policies = PolicyMix::Uniform(Policy::Backfill);
-            }),
-        ];
         let base = self.runner.config_for(Scenario::IMixed);
-        let configs: Vec<WorldConfig> = rows
+        let configs: Vec<WorldConfig> = ABLATION_ROWS
             .iter()
             .map(|(_, _, edit)| {
                 let mut config = base.clone();
@@ -355,7 +329,7 @@ scheduler,completion_s,waiting_s,messages
 ablation,variant,completion_s,waiting_s,request_msgs_per_job,accept_msgs_per_job,messages
 ",
         );
-        for ((ablation, variant, _), r) in rows.iter().zip(&results) {
+        for ((ablation, variant, _), r) in ABLATION_ROWS.iter().zip(&results) {
             let _ = writeln!(
                 out,
                 "{ablation},{variant},{:.0},{:.0},{:.1},{:.1},{:.0}",
@@ -419,6 +393,38 @@ ablation,variant,completion_s,waiting_s,request_msgs_per_job,accept_msgs_per_job
         })
     }
 }
+
+/// An edit of iMixed's world config: one ablation variant.
+type Edit = fn(&mut WorldConfig);
+
+/// The ablation rows: each names the design choice and its variant and
+/// edits iMixed's world config to match. The first row is iMixed
+/// itself, the reference the others vary one choice of.
+const ABLATION_ROWS: [(&str, &str, Edit); 11] = {
+    use aria_core::{OverlayKind, PolicyMix, ReservationPlan};
+    use aria_grid::Policy;
+    [
+        ("reference", "iMixed", |_| {}),
+        ("forward_on_match", "true", |c| c.aria.forward_on_match = true),
+        ("overlay", "random_regular_4", |c| c.overlay = OverlayKind::RandomRegular { degree: 4 }),
+        ("overlay", "small_world_4_0.2", |c| {
+            c.overlay = OverlayKind::SmallWorld { k: 4, beta: 0.2 }
+        }),
+        ("overlay", "ring", |c| c.overlay = OverlayKind::Ring),
+        ("policies", "FCFS", |c| c.policies = PolicyMix::Uniform(Policy::Fcfs)),
+        ("policies", "SJF", |c| c.policies = PolicyMix::Uniform(Policy::Sjf)),
+        ("policies", "LJF", |c| c.policies = PolicyMix::Uniform(Policy::Ljf)),
+        ("policies", "PRIORITY", |c| c.policies = PolicyMix::Uniform(Policy::Priority)),
+        ("reservations", "FCFS", |c| {
+            c.reservations = Some(ReservationPlan::moderate());
+            c.policies = PolicyMix::Uniform(Policy::Fcfs);
+        }),
+        ("reservations", "BACKFILL", |c| {
+            c.reservations = Some(ReservationPlan::moderate());
+            c.policies = PolicyMix::Uniform(Policy::Backfill);
+        }),
+    ]
+};
 
 /// Renders one time series per scenario as CSV (a `time_h` column then
 /// one column per scenario, downsampled to half-hour points) followed by
@@ -546,5 +552,20 @@ mod tests {
         let header = lines.next().unwrap();
         assert!(header.starts_with("time_h,Expanding,iExpanding"), "{header}");
         assert!(lines.count() > 10);
+    }
+
+    #[test]
+    fn ablation_rows_each_change_the_reference() {
+        let base = Runner::paper().config_for(Scenario::IMixed);
+        let (reference, rows) = ABLATION_ROWS.split_first().unwrap();
+        assert_eq!(reference.0, "reference");
+        let mut seen = Vec::new();
+        for (ablation, variant, edit) in rows {
+            let mut config = base.clone();
+            edit(&mut config);
+            assert_ne!(config, base, "{ablation},{variant} re-runs iMixed unedited");
+            assert!(!seen.contains(&config), "{ablation},{variant} repeats an earlier row");
+            seen.push(config);
+        }
     }
 }

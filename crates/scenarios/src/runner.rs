@@ -158,16 +158,6 @@ impl ScenarioResult {
     pub fn avg_completed(&self) -> f64 {
         self.avg_over_runs(|r| r.completed as f64)
     }
-
-    /// Average per-run wall-clock duration, seconds.
-    pub fn avg_wall_time_secs(&self) -> f64 {
-        self.avg_over_runs(|r| r.wall_time_secs)
-    }
-
-    /// Average per-run event throughput, events per wall-clock second.
-    pub fn avg_events_per_sec(&self) -> f64 {
-        self.avg_over_runs(RunStats::events_per_sec)
-    }
 }
 
 /// Executes scenarios across seeds.

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 /// discrete-event simulation: the determinism rules apply to their
 /// sources, tests included.
 pub const SIM_REACHABLE_CRATES: &[&str] = &[
-    "sim", "overlay", "grid", "workload", "metrics", "jsdl", "trace", "core", "probe", "model",
+    "sim", "overlay", "grid", "workload", "metrics", "jsdl", "core", "probe", "model",
     "scenarios", "codec",
 ];
 

@@ -109,9 +109,8 @@ fn ablations_artifact_renders_every_variant() {
     assert_eq!(
         rows,
         [
-            ("forward_on_match", "false"),
+            ("reference", "iMixed"),
             ("forward_on_match", "true"),
-            ("overlay", "blatant"),
             ("overlay", "random_regular_4"),
             ("overlay", "small_world_4_0.2"),
             ("overlay", "ring"),
