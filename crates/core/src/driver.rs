@@ -34,7 +34,8 @@
 //! ACKed, unacknowledged ASSIGNs retransmit on the shared bounded
 //! backoff schedule ([`crate::logic::assign_backoff`]), exhausted
 //! retransmits fall back to the next-best recorded offer and then to the
-//! §III-D failsafe. Flood dedup uses a per-node seen set plus a
+//! §III-D failsafe. Flood dedup uses a per-node seen set (an
+//! open-addressed table of packed flood ids, FIFO-bounded) plus a
 //! visited list carried in the message (selective flooding, the paper's
 //! reference \[28\]) instead of the simulator's global visited table.
 
@@ -46,7 +47,7 @@ use aria_overlay::NodeId;
 use aria_probe::{FloodKind, MsgKind, ProbeEvent};
 use aria_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Globally unique flood identifier on the live network: the origin node
 /// plus a per-origin sequence number. (The simulator's dense
@@ -375,11 +376,342 @@ enum PeerState {
     Dead,
 }
 
-/// Per-peer failure-detector bookkeeping.
+/// Failure-detector bookkeeping of a member past the direct-indexed
+/// range of [`Membership`].
 #[derive(Debug, Clone, Copy)]
 struct PeerHealth {
     last_seen: SimTime,
     state: PeerState,
+}
+
+/// Every known overlay member with its failure-detector state. Ids
+/// inside the configured range are direct-indexed: a one-byte state
+/// (`None` for a non-member) and a last-seen clock per id, so an inbound
+/// frame costs one byte load and one store, and the liveness checks of a
+/// flood forward share a few cache lines. Ids past that range (a sparse
+/// configured list, senders admitted off the wire) sit in a short sorted
+/// tail, all above the direct range, so the direct range followed by the
+/// tail is ascending id order. Never contains the owning node.
+struct Membership {
+    /// `state[id]`: the member's verdict, `None` for a non-member. Sized
+    /// once from the configured peers, never from an id read off the wire.
+    state: Vec<Option<PeerState>>,
+    /// `last_seen[id]`, meaningful where `state[id]` is `Some`.
+    last_seen: Vec<SimTime>,
+    /// Members with ids past the direct range, ascending.
+    tail: Vec<(NodeId, PeerHealth)>,
+    len: usize,
+    /// How many members came from the configured `peers` list; the rest
+    /// were admitted off the wire.
+    configured: usize,
+}
+
+impl Membership {
+    /// The configured peers, sorted and deduplicated, without `own`.
+    /// The direct range covers ids below the largest configured id + 1,
+    /// capped at four slots per configured peer so a sparse id space
+    /// stays small.
+    fn new(own: NodeId, peers: Vec<NodeId>) -> Self {
+        let mut ids = peers;
+        ids.retain(|&n| n != own);
+        ids.sort_unstable();
+        ids.dedup();
+        let span = ids.last().map_or(0, |n| n.index().saturating_add(1)).min(4 * ids.len());
+        let mut membership = Membership {
+            state: vec![None; span],
+            last_seen: vec![SimTime::ZERO; span],
+            tail: Vec::new(),
+            len: 0,
+            configured: ids.len(),
+        };
+        for id in ids {
+            membership.insert(id, SimTime::ZERO);
+        }
+        membership
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Members admitted off the wire rather than configured.
+    fn admitted(&self) -> usize {
+        self.len - self.configured
+    }
+
+    fn tail_position(&self, node: NodeId) -> Result<usize, usize> {
+        self.tail.binary_search_by_key(&node, |&(id, _)| id)
+    }
+
+    fn state(&self, node: NodeId) -> Option<PeerState> {
+        match self.state.get(node.index()) {
+            Some(&state) => state,
+            None => self.tail_position(node).ok().map(|pos| self.tail[pos].1.state),
+        }
+    }
+
+    fn state_mut(&mut self, node: NodeId) -> Option<&mut PeerState> {
+        if node.index() < self.state.len() {
+            return self.state[node.index()].as_mut();
+        }
+        let pos = self.tail_position(node).ok()?;
+        Some(&mut self.tail[pos].1.state)
+    }
+
+    /// Whether the failure detector declared `node` dead.
+    fn is_dead(&self, node: NodeId) -> bool {
+        self.state(node) == Some(PeerState::Dead)
+    }
+
+    /// A frame from `node` arrived at `now`: a member is marked alive
+    /// with a fresh last-seen clock. Returns its previous state, or
+    /// `None` (and changes nothing) for a non-member.
+    fn heard(&mut self, node: NodeId, now: SimTime) -> Option<PeerState> {
+        let i = node.index();
+        if i < self.state.len() {
+            let previous = self.state[i]?;
+            self.state[i] = Some(PeerState::Alive);
+            self.last_seen[i] = now;
+            return Some(previous);
+        }
+        let pos = self.tail_position(node).ok()?;
+        let health = &mut self.tail[pos].1;
+        let previous = health.state;
+        *health = PeerHealth { last_seen: now, state: PeerState::Alive };
+        Some(previous)
+    }
+
+    /// Adds a member that is not yet known, alive and last seen at `now`.
+    fn insert(&mut self, node: NodeId, now: SimTime) {
+        let i = node.index();
+        if i < self.state.len() {
+            assert!(self.state[i].is_none(), "insert admits unknown members only");
+            self.state[i] = Some(PeerState::Alive);
+            self.last_seen[i] = now;
+        } else {
+            let pos = self.tail_position(node).expect_err("insert admits unknown members only");
+            self.tail.insert(pos, (node, PeerHealth { last_seen: now, state: PeerState::Alive }));
+        }
+        self.len += 1;
+    }
+
+    /// Members with their state, in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = (NodeId, PeerState)> + '_ {
+        let direct = self
+            .state
+            .iter()
+            .enumerate()
+            .filter_map(|(i, state)| state.map(|state| (NodeId::new(i as u32), state)));
+        direct.chain(self.tail.iter().map(|&(id, health)| (id, health.state)))
+    }
+
+    fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.iter().map(|(id, _)| id)
+    }
+
+    /// Visits every member in ascending id order with its state and
+    /// last-seen clock.
+    fn for_each_mut(&mut self, mut visit: impl FnMut(NodeId, &mut PeerState, &mut SimTime)) {
+        let direct = self.state.iter_mut().zip(&mut self.last_seen).enumerate();
+        for (i, (state, last_seen)) in direct {
+            if let Some(state) = state {
+                visit(NodeId::new(i as u32), state, last_seen);
+            }
+        }
+        for (id, health) in &mut self.tail {
+            visit(*id, &mut health.state, &mut health.last_seen);
+        }
+    }
+
+    #[cfg(test)]
+    fn last_seen(&self, node: NodeId) -> Option<SimTime> {
+        match self.state.get(node.index()) {
+            Some(state) => state.map(|_| self.last_seen[node.index()]),
+            None => self.tail_position(node).ok().map(|pos| self.tail[pos].1.last_seen),
+        }
+    }
+}
+
+/// Flood dedup set. A flood id whose origin and seq both fit in 16 bits
+/// (every flood of an overlay under 65 536 nodes until its origin has
+/// sent 65 536 floods) is packed into a `u32` and kept in a table half
+/// the size; any other is packed into a `u64` (origin high, seq low) in
+/// a second table. Each id has exactly one home table, so every answer
+/// is exact.
+#[derive(Default)]
+struct FloodSet {
+    narrow: OpenSet<u32>,
+    wide: OpenSet<u64>,
+}
+
+impl FloodSet {
+    fn narrow_key(flood: FloodUid) -> Option<u32> {
+        let (origin, seq) = (flood.origin.raw(), flood.seq);
+        (origin <= 0xFFFF && seq <= 0xFFFF).then_some(origin << 16 | seq)
+    }
+
+    fn wide_key(flood: FloodUid) -> u64 {
+        u64::from(flood.origin.raw()) << 32 | u64::from(flood.seq)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.narrow.len + self.wide.len
+    }
+
+    #[cfg(test)]
+    fn contains(&self, flood: FloodUid) -> bool {
+        match Self::narrow_key(flood) {
+            Some(key) => self.narrow.contains(key),
+            None => self.wide.contains(Self::wide_key(flood)),
+        }
+    }
+
+    /// Adds `flood`; returns `true` when it was not yet present.
+    fn insert(&mut self, flood: FloodUid) -> bool {
+        match Self::narrow_key(flood) {
+            Some(key) => self.narrow.insert(key),
+            None => self.wide.insert(Self::wide_key(flood)),
+        }
+    }
+
+    /// Removes `flood`; returns `true` when it was present.
+    fn remove(&mut self, flood: FloodUid) -> bool {
+        match Self::narrow_key(flood) {
+            Some(key) => self.narrow.remove(key),
+            None => self.wide.remove(Self::wide_key(flood)),
+        }
+    }
+}
+
+/// The key of an [`OpenSet`] slot: an unsigned integer whose maximum
+/// marks an empty slot.
+trait SlotKey: Copy + Eq + Into<u64> {
+    const EMPTY: Self;
+}
+
+impl SlotKey for u32 {
+    const EMPTY: u32 = u32::MAX;
+}
+
+impl SlotKey for u64 {
+    const EMPTY: u64 = u64::MAX;
+}
+
+/// A set of integer keys in a power-of-two open-addressing table with
+/// linear probing and backward-shift deletion, so neither lookups nor
+/// removals leave tombstones. The one key equal to the empty-slot
+/// marker lives in a flag beside the table.
+#[derive(Default)]
+struct OpenSet<K> {
+    slots: Vec<K>,
+    /// `64 - log2(slots.len())`: the multiplicative hash keeps the top
+    /// bits.
+    shift: u32,
+    len: usize,
+    marker_present: bool,
+}
+
+impl<K: SlotKey> OpenSet<K> {
+    /// 2^64 / golden ratio: Fibonacci hashing.
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+    const MIN_SLOTS: usize = 16;
+
+    #[cfg(test)]
+    fn contains(&self, key: K) -> bool {
+        if key == K::EMPTY {
+            self.marker_present
+        } else {
+            !self.slots.is_empty() && self.probe(key).1
+        }
+    }
+
+    fn home(&self, key: K) -> usize {
+        (key.into().wrapping_mul(Self::MULTIPLIER) >> self.shift) as usize
+    }
+
+    /// The slot holding `key`, or the empty slot ending its probe run.
+    fn probe(&self, key: K) -> (usize, bool) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i] {
+                k if k == K::EMPTY => return (i, false),
+                k if k == key => return (i, true),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds `key`; returns `true` when it was not yet present.
+    fn insert(&mut self, key: K) -> bool {
+        if key == K::EMPTY {
+            let fresh = !self.marker_present;
+            self.marker_present = true;
+            self.len += usize::from(fresh);
+            return fresh;
+        }
+        // Grow at 7/8 load: lower load factors cost peak RSS across a
+        // mesh of drivers for no measurable probe saving.
+        if (self.len + 1) * 8 > self.slots.len() * 7 {
+            self.grow();
+        }
+        let (i, found) = self.probe(key);
+        if found {
+            return false;
+        }
+        self.slots[i] = key;
+        self.len += 1;
+        true
+    }
+
+    /// Removes `key`; returns `true` when it was present.
+    fn remove(&mut self, key: K) -> bool {
+        if key == K::EMPTY {
+            let present = std::mem::take(&mut self.marker_present);
+            self.len -= usize::from(present);
+            return present;
+        }
+        if self.slots.is_empty() {
+            return false;
+        }
+        let (mut hole, found) = self.probe(key);
+        if !found {
+            return false;
+        }
+        // Backward shift: walk the rest of the probe run and move each
+        // entry whose home slot lies cyclically at or before the hole
+        // into it (it stays reachable from its home); the hole then
+        // moves to the slot that entry left.
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let k = self.slots[j];
+            if k == K::EMPTY {
+                break;
+            }
+            let displacement = j.wrapping_sub(self.home(k)) & mask;
+            if displacement >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = k;
+                hole = j;
+            }
+        }
+        self.slots[hole] = K::EMPTY;
+        self.len -= 1;
+        true
+    }
+
+    fn grow(&mut self) {
+        let size = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![K::EMPTY; size]);
+        self.shift = 64 - size.trailing_zeros();
+        for key in old.into_iter().filter(|&k| k != K::EMPTY) {
+            let (i, _) = self.probe(key);
+            self.slots[i] = key;
+        }
+    }
 }
 
 /// An in-flight (unacknowledged) ASSIGN delegation. Unlike the
@@ -426,12 +758,12 @@ pub struct NodeDriver {
     rng: SimRng,
     /// All known overlay members (flood seeding picks random subsets)
     /// with per-peer failure-detector state. Never contains this node.
-    membership: BTreeMap<NodeId, PeerHealth>,
+    membership: Membership,
     /// Direct overlay neighbors (flood forwarding targets); filtered by
     /// liveness at sampling time.
     neighbors: Vec<NodeId>,
     /// Flood dedup: floods this node already processed, FIFO-bounded.
-    seen: BTreeSet<FloodUid>,
+    seen: FloodSet,
     seen_order: VecDeque<FloodUid>,
     flood_seq: u32,
     /// Per-job state: the live substitute for the simulator's job table.
@@ -458,6 +790,10 @@ impl NodeDriver {
     /// books are dropped so a long-haul soak cannot grow memory without
     /// bound.
     pub const MAX_RETIRED: usize = 4096;
+    /// Membership bound: how many senders outside the configured `peers`
+    /// list are admitted as members. A frame from a sender past the
+    /// bound is still handled, but the sender is not admitted.
+    pub const MAX_ADMITTED: usize = 1024;
 
     /// Builds a driver for node `id`. `peers` is the full known overlay
     /// membership (used to seed REQUEST floods at random members, like
@@ -472,20 +808,15 @@ impl NodeDriver {
         peers: Vec<NodeId>,
         neighbors: Vec<NodeId>,
     ) -> Self {
-        let membership = peers
-            .into_iter()
-            .filter(|&n| n != id)
-            .map(|n| (n, PeerHealth { last_seen: SimTime::ZERO, state: PeerState::Alive }))
-            .collect();
         NodeDriver {
             id,
             profile,
             queue: SchedulerQueue::new(policy),
             cfg,
             rng: SimRng::seed_from(seed),
-            membership,
+            membership: Membership::new(id, peers),
             neighbors,
-            seen: BTreeSet::new(),
+            seen: FloodSet::default(),
             seen_order: VecDeque::new(),
             flood_seq: 0,
             books: BTreeMap::new(),
@@ -508,9 +839,7 @@ impl NodeDriver {
     /// clock so nobody is declared dead for silence predating startup.
     pub fn start(&mut self, now: SimTime) -> Vec<Output> {
         let mut out = Vec::new();
-        for health in self.membership.values_mut() {
-            health.last_seen = now;
-        }
+        self.membership.for_each_mut(|_, _, last_seen| *last_seen = now);
         if self.cfg.aria.rescheduling {
             out.push(Output::StartTimer {
                 after: self.cfg.aria.inform_period,
@@ -519,7 +848,7 @@ impl NodeDriver {
         }
         let period = self.cfg.membership.heartbeat_period;
         if !period.is_zero() {
-            for &peer in self.membership.keys() {
+            for peer in self.membership.ids() {
                 out.push(Output::Send { to: peer, msg: LiveMsg::Join { node: self.id } });
             }
             out.push(Output::StartTimer { after: period, timer: Timer::HeartbeatTick });
@@ -590,7 +919,7 @@ impl NodeDriver {
         let mut seeds = std::mem::take(&mut self.scratch);
         seeds.clear();
         seeds.extend(
-            self.membership.iter().filter(|(_, h)| h.state != PeerState::Dead).map(|(&n, _)| n),
+            self.membership.iter().filter(|&(_, state)| state != PeerState::Dead).map(|(n, _)| n),
         );
         self.rng.sample_in_place(&mut seeds, self.cfg.aria.request_fanout);
         for &seed in &seeds {
@@ -646,7 +975,7 @@ impl NodeDriver {
         // was open; fall back to the next-best live offer, then to the
         // ordinary empty-window retry path.
         let winner = match pending.best {
-            Some((_cost, w)) if w == self.id || !is_dead(&self.membership, w) => Some(w),
+            Some((_cost, w)) if w == self.id || !self.membership.is_dead(w) => Some(w),
             Some(_) => self.pop_live_offer(job, None).map(|(_, next)| next),
             None => None,
         };
@@ -703,7 +1032,7 @@ impl NodeDriver {
         // A dead assignee short-circuits the remaining retransmit
         // budget: the failure detector already out-waited any backoff,
         // so go straight to the recorded-offer fallback / failsafe.
-        if !is_dead(&self.membership, a.to)
+        if !self.membership.is_dead(a.to)
             && logic::may_retransmit(a.attempt, self.cfg.aria.assign_max_retries)
         {
             let attempt = a.attempt + 1;
@@ -728,7 +1057,7 @@ impl NodeDriver {
     fn pop_live_offer(&mut self, job: JobId, exclude: Option<NodeId>) -> Option<(Cost, NodeId)> {
         let offers = &mut self.books.get_mut(&job)?.offers;
         while let Some((cost, next)) = logic::pop_best_offer(offers) {
-            if Some(next) != exclude && (next == self.id || !is_dead(&self.membership, next)) {
+            if Some(next) != exclude && (next == self.id || !self.membership.is_dead(next)) {
                 return Some((cost, next));
             }
         }
@@ -808,66 +1137,65 @@ impl NodeDriver {
         }
         let suspect_after = m.suspect_after();
         let dead_after = m.dead_after();
+        let me = self.id;
         let mut newly_dead = Vec::new();
-        for (&peer, health) in self.membership.iter_mut() {
-            if health.state == PeerState::Dead {
-                continue;
+        self.membership.for_each_mut(|peer, state, last_seen| {
+            if *state == PeerState::Dead {
+                return;
             }
-            let silent = now.saturating_since(health.last_seen);
+            let silent = now.saturating_since(*last_seen);
             if silent >= dead_after {
-                if health.state == PeerState::Alive {
-                    out.push(Output::Probe(ProbeEvent::PeerSuspected { peer, by: self.id }));
+                if *state == PeerState::Alive {
+                    out.push(Output::Probe(ProbeEvent::PeerSuspected { peer, by: me }));
                 }
-                health.state = PeerState::Dead;
-                out.push(Output::Probe(ProbeEvent::PeerDead { peer, by: self.id }));
+                *state = PeerState::Dead;
+                out.push(Output::Probe(ProbeEvent::PeerDead { peer, by: me }));
                 newly_dead.push(peer);
-            } else if silent >= suspect_after && health.state == PeerState::Alive {
-                health.state = PeerState::Suspect;
-                out.push(Output::Probe(ProbeEvent::PeerSuspected { peer, by: self.id }));
+            } else if silent >= suspect_after && *state == PeerState::Alive {
+                *state = PeerState::Suspect;
+                out.push(Output::Probe(ProbeEvent::PeerSuspected { peer, by: me }));
             }
-        }
+        });
         for peer in newly_dead {
             self.peer_died(now, peer, out);
         }
-        for &peer in self.membership.keys() {
+        for peer in self.membership.ids() {
             out.push(Output::Send { to: peer, msg: LiveMsg::Heartbeat { node: self.id } });
         }
         out.push(Output::StartTimer { after: m.heartbeat_period, timer: Timer::HeartbeatTick });
     }
 
     /// Any message from a peer proves it is alive: refresh its last-seen
-    /// clock, readmit it if it was dead, admit it if it was unknown.
+    /// clock, readmit it if it was dead, admit it if it was unknown and
+    /// fewer than [`Self::MAX_ADMITTED`] unconfigured senders are in.
     fn note_alive(&mut self, now: SimTime, peer: NodeId, out: &mut Vec<Output>) {
         if peer == self.id {
             return;
         }
-        match self.membership.get_mut(&peer) {
-            Some(health) => {
-                let was_dead = health.state == PeerState::Dead;
-                health.last_seen = now;
-                health.state = PeerState::Alive;
-                if was_dead {
-                    out.push(Output::Probe(ProbeEvent::PeerRejoined { peer, by: self.id }));
-                }
+        let room = self.membership.admitted() < Self::MAX_ADMITTED;
+        match self.membership.heard(peer, now) {
+            Some(PeerState::Dead) => {
+                out.push(Output::Probe(ProbeEvent::PeerRejoined { peer, by: self.id }));
             }
-            None => {
-                self.membership
-                    .insert(peer, PeerHealth { last_seen: now, state: PeerState::Alive });
+            Some(_) => {}
+            None if room => {
+                self.membership.insert(peer, now);
                 out.push(Output::Probe(ProbeEvent::NodeJoined { node: peer }));
             }
+            None => {} // past the admission bound: handled, not admitted
         }
     }
 
     /// Declares a peer dead out of band (graceful `Leave`); the detector
     /// path goes through [`Self::heartbeat_tick`].
     fn mark_dead(&mut self, now: SimTime, peer: NodeId, out: &mut Vec<Output>) {
-        let Some(health) = self.membership.get_mut(&peer) else {
+        let Some(state) = self.membership.state_mut(peer) else {
             return;
         };
-        if health.state == PeerState::Dead {
+        if *state == PeerState::Dead {
             return;
         }
-        health.state = PeerState::Dead;
+        *state = PeerState::Dead;
         out.push(Output::Probe(ProbeEvent::PeerDead { peer, by: self.id }));
         self.peer_died(now, peer, out);
     }
@@ -1237,7 +1565,7 @@ impl NodeDriver {
         self.seen_order.push_back(flood);
         if self.seen_order.len() > Self::MAX_SEEN {
             if let Some(evicted) = self.seen_order.pop_front() {
-                self.seen.remove(&evicted);
+                self.seen.remove(evicted);
             }
         }
         true
@@ -1256,9 +1584,10 @@ impl NodeDriver {
         let mut targets = std::mem::take(&mut self.scratch);
         targets.clear();
         targets.extend(
-            self.neighbors.iter().copied().filter(|n| {
-                *n != self.id && !visited.contains(n) && !is_dead(&self.membership, *n)
-            }),
+            self.neighbors
+                .iter()
+                .copied()
+                .filter(|n| *n != self.id && !visited.contains(n) && !self.membership.is_dead(*n)),
         );
         self.rng.sample_in_place(&mut targets, fanout);
         if let Some((&last, rest)) = targets.split_last() {
@@ -1294,11 +1623,6 @@ impl NodeDriver {
     }
 }
 
-/// Whether the failure detector declared `node` dead.
-fn is_dead(membership: &BTreeMap<NodeId, PeerHealth>, node: NodeId) -> bool {
-    membership.get(&node).is_some_and(|h| h.state == PeerState::Dead)
-}
-
 /// Whether `queue` holds the job (waiting or running).
 fn holds(queue: &SchedulerQueue, job: JobId) -> bool {
     queue.is_waiting(job) || queue.running().is_some_and(|r| r.spec.id == job)
@@ -1309,6 +1633,8 @@ mod tests {
     use super::*;
     use aria_grid::{Architecture, JobRequirements, OperatingSystem, PerfIndex};
     use aria_sim::EventQueue;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// A queued cluster event; the queue orders it by (time, sequence).
     struct Ev {
@@ -1848,6 +2174,242 @@ mod tests {
         }
         // ...and the bound held through the re-checks.
         assert_eq!(driver.seen.len(), NodeDriver::MAX_SEEN);
+    }
+
+    /// One step of the flood-set model property: insert a flood, evict
+    /// the oldest one (the `MAX_SEEN` FIFO's move) or remove an arbitrary
+    /// one, present or not.
+    #[derive(Debug, Clone, Copy)]
+    enum SeenOp {
+        Insert(FloodUid),
+        EvictOldest,
+        Remove(FloodUid),
+    }
+
+    /// `raw`, except that `edge_at` stands for `u32::MAX`, the largest
+    /// id on the wire.
+    fn edge_u32(raw: u32, edge_at: u32) -> u32 {
+        if raw == edge_at {
+            u32::MAX
+        } else {
+            raw
+        }
+    }
+
+    /// A part (origin or seq) of a flood id in a small key space: `raw`
+    /// below `small`, then the edges where a flood id changes table (past
+    /// 16 bits) or packs to a table's empty-slot marker (both parts
+    /// `0xFFFF` in the narrow table, both `u32::MAX` in the wide one).
+    fn flood_part(raw: u32, small: u32) -> u32 {
+        match raw.checked_sub(small) {
+            None => raw,
+            Some(edge) => [0xFFFF, 0x1_0000, u32::MAX][edge as usize],
+        }
+    }
+
+    fn flood_id(origin: u32, seq: u32) -> FloodUid {
+        FloodUid { origin: NodeId::new(flood_part(origin, 3)), seq: flood_part(seq, 11) }
+    }
+
+    prop_compose! {
+        fn arb_flood()(origin in 0u32..6, seq in 0u32..14) -> FloodUid {
+            flood_id(origin, seq)
+        }
+    }
+
+    prop_compose! {
+        fn arb_seen_op()(kind in 0u8..8, flood in arb_flood()) -> SeenOp {
+            match kind {
+                0..=4 => SeenOp::Insert(flood),
+                5..=6 => SeenOp::EvictOldest,
+                _ => SeenOp::Remove(flood),
+            }
+        }
+    }
+
+    proptest! {
+        /// The open-addressed flood set against a `BTreeSet` + `VecDeque`
+        /// reference: identical fresh/duplicate and present/absent
+        /// answers and lengths under any interleaving of inserts and
+        /// evictions, and identical membership of every key afterwards.
+        #[test]
+        fn flood_set_matches_the_btreeset_reference(
+            ops in proptest::collection::vec(arb_seen_op(), 1..400),
+        ) {
+            let mut set = FloodSet::default();
+            let mut order = VecDeque::new();
+            let mut model = BTreeSet::new();
+            let mut model_order = VecDeque::new();
+            for op in ops {
+                match op {
+                    SeenOp::Insert(flood) => {
+                        let fresh = set.insert(flood);
+                        prop_assert_eq!(fresh, model.insert(flood), "insert {:?}", flood);
+                        if fresh {
+                            order.push_back(flood);
+                            model_order.push_back(flood);
+                        }
+                    }
+                    SeenOp::EvictOldest => {
+                        if let (Some(evicted), Some(model_evicted)) =
+                            (order.pop_front(), model_order.pop_front())
+                        {
+                            prop_assert_eq!(set.remove(evicted), model.remove(&model_evicted));
+                        }
+                    }
+                    SeenOp::Remove(flood) => {
+                        order.retain(|&f| f != flood);
+                        model_order.retain(|&f| f != flood);
+                        let removed = model.remove(&flood);
+                        prop_assert_eq!(set.remove(flood), removed, "remove {:?}", flood);
+                    }
+                }
+                prop_assert_eq!(set.len(), model.len());
+            }
+            for origin in 0..6 {
+                for seq in 0..14 {
+                    let flood = flood_id(origin, seq);
+                    prop_assert_eq!(set.contains(flood), model.contains(&flood), "{:?}", flood);
+                }
+            }
+        }
+
+        /// The membership table against a `BTreeMap`: after the
+        /// constructor's normalisation and random admissions (ids inside
+        /// the direct index, past it, and at `u32::MAX`), every lookup
+        /// and the iteration order agree, and the index never grows.
+        #[test]
+        fn membership_matches_the_btreemap_reference(
+            own in 0u32..8,
+            peers in proptest::collection::vec(0u32..40, 0..24),
+            admits in proptest::collection::vec(0u32..72, 0..48),
+        ) {
+            let node = |raw: u32| NodeId::new(edge_u32(raw, 71));
+            let mut members = Membership::new(node(own), peers.iter().map(|&p| node(p)).collect());
+            let mut model: BTreeMap<NodeId, SimTime> = peers
+                .iter()
+                .filter(|&&p| p != own)
+                .map(|&p| (node(p), SimTime::ZERO))
+                .collect();
+            let index_len = members.state.len();
+            for (t, &raw) in admits.iter().enumerate() {
+                let peer = node(raw);
+                let last_seen = SimTime::from_secs(t as u64 + 1);
+                if raw != own && !model.contains_key(&peer) {
+                    members.insert(peer, last_seen);
+                    model.insert(peer, last_seen);
+                }
+            }
+            prop_assert_eq!(members.state.len(), index_len);
+            prop_assert_eq!(members.len(), model.len());
+            for raw in 0..72 {
+                let peer = node(raw);
+                let want = model.get(&peer).copied();
+                prop_assert_eq!(members.last_seen(peer), want, "lookup {}", raw);
+                prop_assert_eq!(members.state(peer).is_some(), want.is_some(), "state {}", raw);
+            }
+            let ids: Vec<NodeId> = members.ids().collect();
+            prop_assert_eq!(ids, model.keys().copied().collect::<Vec<_>>());
+            let mut iterated: Vec<(NodeId, SimTime)> = Vec::new();
+            members.for_each_mut(|n, _, last_seen| iterated.push((n, *last_seen)));
+            let expected: Vec<(NodeId, SimTime)> = model.into_iter().collect();
+            prop_assert_eq!(iterated, expected);
+        }
+    }
+
+    /// However many distinct unknown senders the wire carries, at most
+    /// [`NodeDriver::MAX_ADMITTED`] are admitted beyond the configured
+    /// peers, and none of them resizes the direct index. Frames past
+    /// the bound are still handled, and a configured peer still dies
+    /// and rejoins.
+    #[test]
+    fn membership_is_bounded() {
+        // Sparse configured ids leave unconfigured ids inside the index.
+        let peers: Vec<NodeId> = [0, 2, 4, 6, 8].map(NodeId::new).to_vec();
+        let mut driver = NodeDriver::new(
+            NodeId::new(0),
+            profile(1.0),
+            Policy::Fcfs,
+            churn_cfg(),
+            7,
+            peers.clone(),
+            peers.clone(),
+        );
+        let configured = driver.membership.len();
+        let index_len = driver.membership.state.len();
+        let now = SimTime::from_secs(1);
+        driver.start(now);
+        let senders = std::iter::once(u32::MAX)
+            .chain((1..).filter(|&raw| raw % 2 == 1 || raw > 8))
+            .take(100_000)
+            .map(NodeId::new);
+        let mut joined = 0;
+        for (i, node) in senders.enumerate() {
+            let msg = if i % 2 == 0 { LiveMsg::Heartbeat { node } } else { LiveMsg::Join { node } };
+            let out = driver.handle(now, Input::Msg { from: node, msg });
+            joined += out
+                .iter()
+                .filter(|o| matches!(o, Output::Probe(ProbeEvent::NodeJoined { .. })))
+                .count();
+            assert!(driver.membership.len() <= configured + NodeDriver::MAX_ADMITTED);
+            assert_eq!(driver.membership.state.len(), index_len, "the index grew");
+        }
+        assert_eq!(joined, NodeDriver::MAX_ADMITTED);
+        assert_eq!(driver.membership.len(), configured + NodeDriver::MAX_ADMITTED);
+        assert!(driver.membership.state(NodeId::new(u32::MAX)).is_some(), "edge id admitted");
+        // Past the bound a frame is handled without admitting its sender.
+        let stranger = NodeId::new(200_000);
+        let msg = request(0, vec![stranger]);
+        let out = driver.handle(now, Input::Msg { from: stranger, msg });
+        assert!(out.iter().any(|o| matches!(o, Output::Probe(ProbeEvent::FloodHop { .. }))));
+        assert!(!out.iter().any(|o| matches!(o, Output::Probe(ProbeEvent::NodeJoined { .. }))));
+        assert_eq!(driver.membership.len(), configured + NodeDriver::MAX_ADMITTED);
+        // A configured peer's Leave and rejoin still go through.
+        let peer = NodeId::new(4);
+        let me = NodeId::new(0);
+        let leave_and_return = [LiveMsg::Leave { node: peer }, LiveMsg::Heartbeat { node: peer }];
+        let churn: Vec<ProbeEvent> = leave_and_return
+            .into_iter()
+            .flat_map(|msg| driver.handle(now, Input::Msg { from: peer, msg }))
+            .filter_map(|o| match o {
+                Output::Probe(ev @ ProbeEvent::PeerDead { .. })
+                | Output::Probe(ev @ ProbeEvent::PeerRejoined { .. }) => Some(ev),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            churn,
+            [ProbeEvent::PeerDead { peer, by: me }, ProbeEvent::PeerRejoined { peer, by: me }]
+        );
+    }
+
+    /// `NodeDriver::new` sorts and deduplicates `peers` and drops the
+    /// node's own id: a shuffled, duplicated list holding the own id
+    /// yields the same start-up frames and the same first REQUEST round
+    /// as the sorted, unique list.
+    #[test]
+    fn constructor_normalises_peers() {
+        let build = |peers: Vec<NodeId>| {
+            let neighbors = [1, 2, 3].map(NodeId::new).to_vec();
+            let me = NodeId::new(0);
+            NodeDriver::new(me, profile(1.0), Policy::Fcfs, churn_cfg(), 7, peers, neighbors)
+        };
+        let sorted: Vec<NodeId> = (1..10).map(NodeId::new).collect();
+        let messy = [7, 0, 3, 9, 3, 1, 8, 0, 2, 5, 4, 6, 9, 1].map(NodeId::new).to_vec();
+        let (mut clean, mut normalised) = (build(sorted), build(messy));
+        let now = SimTime::from_secs(1);
+        assert_eq!(normalised.start(now), clean.start(now));
+        let submit = |driver: &mut NodeDriver| driver.handle(now, Input::Submit(spec(1, 5)));
+        let (want, got) = (submit(&mut clean), submit(&mut normalised));
+        assert_eq!(got, want);
+        let targets: Vec<NodeId> = got
+            .iter()
+            .filter_map(|o| match o {
+                Output::Send { to, msg: LiveMsg::Request { .. } } => Some(*to),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(targets.len(), 4, "the default REQUEST fan-out samples 4 of 9 peers");
     }
 
     /// Terminal-job bookkeeping (one book per job) is bounded by
