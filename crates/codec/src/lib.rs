@@ -29,9 +29,6 @@
 //! bounds every length field before allocating. A datagram either parses
 //! to exactly one [`LiveMsg`] or yields a [`CodecError`].
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 use aria_core::driver::{FloodUid, LiveMsg};
 use aria_grid::{
     Architecture, Cost, JobId, JobPriority, JobRequirements, JobSpec, OperatingSystem,
@@ -132,6 +129,10 @@ mod kind {
 pub fn encode(msg: &LiveMsg) -> Vec<u8> {
     let len = frame_len(msg);
     let mut out = Vec::with_capacity(len);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a frame holds at most MAX_VISITED_WIRE ids: far below 4 GiB"
+    )]
     put_u32(&mut out, (len - 4) as u32);
     match msg {
         LiveMsg::Request { initiator, spec, hops_left, flood, visited } => {
@@ -261,6 +262,7 @@ fn put_flood(out: &mut Vec<u8>, flood: FloodUid) {
     put_u32(out, flood.seq);
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "the list is checked against MAX_VISITED_WIRE")]
 fn put_visited(out: &mut Vec<u8>, visited: &[NodeId]) {
     debug_assert!(visited.len() <= MAX_VISITED_WIRE, "visited list over the wire bound");
     put_u16(out, visited.len() as u16);
@@ -269,6 +271,7 @@ fn put_visited(out: &mut Vec<u8>, visited: &[NodeId]) {
     }
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "every ALL table has fewer than 256 entries")]
 fn enum_index<T: PartialEq + Copy>(table: &[T], value: T) -> u8 {
     table
         .iter()

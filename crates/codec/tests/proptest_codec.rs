@@ -169,6 +169,6 @@ fn hostile_visited_count_is_bounded() {
 /// remaining-bytes check that precedes the list's allocation.
 #[test]
 fn visited_count_past_the_body_is_truncated() {
-    let bytes = with_visited_count(MAX_VISITED_WIRE as u16);
+    let bytes = with_visited_count(u16::try_from(MAX_VISITED_WIRE).unwrap());
     assert_eq!(decode(&bytes), Err(CodecError::Truncated));
 }

@@ -440,7 +440,7 @@ impl Baseline {
                     .schedule(now + REVOKE_LATENCY, Event::Revoke { node: other, job: spec.id });
             }
             let art = self.art.actual_running_time(spec.ert, ertp, &mut self.rng);
-            self.metrics.job_started(spec.id, node as u32, now);
+            self.metrics.job_started(spec.id, NodeId::from_index(node).raw(), now);
             self.events.schedule(now + art, Event::Complete { node });
             return;
         }
@@ -471,7 +471,7 @@ impl Baseline {
         let own = CacheEntry { backlog: self.queues[node].backlog(now), observed_at: now };
         let gossip = self.rule.gossip();
         gossip.caches[node].observe(node, own);
-        let node_id = NodeId::new(node as u32);
+        let node_id = NodeId::from_index(node);
         gossip.topology.sample_neighbors_into(
             node_id,
             GOSSIP_FANOUT,

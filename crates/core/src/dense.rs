@@ -105,6 +105,7 @@ impl FloodTable {
 
     /// Iterates over every slot ever allocated, live or recycled, with
     /// its raw id (inspection hook for `World::check_invariants`).
+    #[expect(clippy::cast_possible_truncation, reason = "`alloc` checks each id fits u32")]
     pub fn slots(&self) -> impl Iterator<Item = (u32, &FloodSlot)> + '_ {
         self.slots.iter().enumerate().map(|(i, slot)| (i as u32, slot))
     }
@@ -179,10 +180,17 @@ pub(crate) struct JobTable {
     slots: Vec<Option<JobSlot>>,
 }
 
+/// A job's slot: job ids are dense, assigned in submission order.
+#[inline]
+#[expect(clippy::cast_possible_truncation, reason = "job ids count submissions")]
+fn job_index(id: JobId) -> usize {
+    id.raw() as usize
+}
+
 impl JobTable {
     /// Interns a job's spec at submission time.
     pub fn register(&mut self, spec: JobSpec) {
-        let index = spec.id.raw() as usize;
+        let index = job_index(spec.id);
         if index >= self.slots.len() {
             self.slots.resize_with(index + 1, || None);
         }
@@ -199,12 +207,12 @@ impl JobTable {
 
     /// The slot of a registered job.
     pub fn slot(&self, id: JobId) -> &JobSlot {
-        self.slots[id.raw() as usize].as_ref().expect("job registered at submission")
+        self.slots[job_index(id)].as_ref().expect("job registered at submission")
     }
 
     /// The slot of a registered job, mutably.
     pub fn slot_mut(&mut self, id: JobId) -> &mut JobSlot {
-        self.slots[id.raw() as usize].as_mut().expect("job registered at submission")
+        self.slots[job_index(id)].as_mut().expect("job registered at submission")
     }
 
     /// The job's interned spec.
@@ -272,8 +280,8 @@ mod tests {
         // node count up front.
         let mut floods = FloodTable::default();
         let id = floods.alloc(NodeId::new(0), 64);
-        for i in 0..crate::visited::SMALL_CAP as u32 + 1 {
-            floods.get_mut(id).visited.insert(NodeId::new(i));
+        for i in 0..=crate::visited::SMALL_CAP {
+            floods.get_mut(id).visited.insert(NodeId::from_index(i));
         }
         assert_eq!(floods.get(id).visited.spill_capacity(), 64);
         floods.release(id);

@@ -54,6 +54,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// [`crate::FloodId`] table indexes recycled slots; live floods from
 /// different nodes must never collide, so the id carries its origin.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct FloodUid {
     /// The node that seeded the flood.
     pub origin: NodeId,
@@ -502,7 +503,7 @@ impl Membership {
             .state
             .iter()
             .enumerate()
-            .filter_map(|(i, state)| state.map(|state| (NodeId::new(i as u32), state)));
+            .filter_map(|(i, state)| state.map(|state| (NodeId::from_index(i), state)));
         direct.chain(self.tail.iter().map(|&(id, health)| (id, health.state)))
     }
 
@@ -516,7 +517,7 @@ impl Membership {
         let direct = self.state.iter_mut().zip(&mut self.last_seen).enumerate();
         for (i, (state, last_seen)) in direct {
             if let Some(state) = state {
-                visit(NodeId::new(i as u32), state, last_seen);
+                visit(NodeId::from_index(i), state, last_seen);
             }
         }
         for (id, health) in &mut self.tail {
@@ -627,6 +628,7 @@ impl<K: SlotKey> OpenSet<K> {
         }
     }
 
+    #[expect(clippy::cast_possible_truncation, reason = "the shift leaves log2(capacity) bits")]
     fn home(&self, key: K) -> usize {
         (key.into().wrapping_mul(Self::MULTIPLIER) >> self.shift) as usize
     }
@@ -934,6 +936,7 @@ impl NodeDriver {
                 },
             });
         }
+        #[expect(clippy::cast_possible_truncation, reason = "at most request_fanout seeds")]
         out.push(Output::Probe(ProbeEvent::RequestRound {
             job,
             initiator: self.id,
@@ -1502,6 +1505,7 @@ impl NodeDriver {
     fn enqueue_job(&mut self, now: SimTime, job: JobId, out: &mut Vec<Output>) {
         let spec = self.books[&job].spec;
         self.queue.enqueue(spec, now, &self.profile);
+        #[expect(clippy::cast_possible_truncation, reason = "queues hold far fewer than 2^32 jobs")]
         out.push(Output::Probe(ProbeEvent::Enqueued {
             job,
             node: self.id,
@@ -1807,8 +1811,8 @@ mod tests {
         /// Restart analog: a fresh driver (empty state, new RNG stream)
         /// boots at `at` under the same node id.
         fn restart(&mut self, at: SimTime, node: usize, cfg: DriverConfig, seed: u64) {
-            let n = self.drivers.len() as u32;
-            self.drivers[node] = Self::make_driver(n, node as u32, cfg, seed);
+            let n = u32::try_from(self.drivers.len()).unwrap();
+            self.drivers[node] = Self::make_driver(n, u32::try_from(node).unwrap(), cfg, seed);
             self.alive[node] = true;
             self.epoch[node] = self.epoch[node].wrapping_add(1);
             let prev = self.now;
@@ -2010,9 +2014,9 @@ mod tests {
     fn forward_extends_visited_and_skips_visited_self_and_dead() {
         let me = NodeId::new(0);
         let v = vec![NodeId::new(9), NodeId::new(2)];
-        for seed in 0..8 {
-            let mut driver = forwarding_driver(2, seed);
-            let copies = forwarded(&mut driver, request(seed as u32, v.clone()));
+        for seed in 0..8u32 {
+            let mut driver = forwarding_driver(2, seed.into());
+            let copies = forwarded(&mut driver, request(seed, v.clone()));
             assert_eq!(copies.len(), 2, "seed {seed}: fan-out 2 of three candidates");
             assert_ne!(copies[0].0, copies[1].0, "seed {seed}: targets are distinct");
             for (to, visited, hops_left) in &copies {
@@ -2030,7 +2034,7 @@ mod tests {
         assert_eq!(targets, [1, 4, 5].map(NodeId::new));
         // A full list travels on unchanged.
         let full: Vec<NodeId> =
-            (0..NodeDriver::MAX_VISITED as u32).map(|i| NodeId::new(100 + i)).collect();
+            (0..NodeDriver::MAX_VISITED).map(|i| NodeId::from_index(100 + i)).collect();
         let mut driver = forwarding_driver(2, 1);
         let copies = forwarded(&mut driver, request(0, full.clone()));
         assert_eq!(copies.len(), 2);
@@ -2071,8 +2075,8 @@ mod tests {
         cluster.start();
         // Load nodes 0-3 with local work so their quotes differ; node 4
         // stays idle and must win the later submission.
-        for j in 0..4u64 {
-            cluster.submit(SimTime::ZERO, j as u32, spec(j, 30));
+        for j in 0..4u32 {
+            cluster.submit(SimTime::ZERO, j, spec(j.into(), 30));
         }
         cluster.run(SimTime::from_secs(10));
         let probe_spec = spec(99, 5);
@@ -2158,7 +2162,7 @@ mod tests {
         let peers = vec![NodeId::new(0)];
         let mut driver =
             NodeDriver::new(NodeId::new(0), profile(1.0), Policy::Fcfs, cfg, 7, peers.clone(), peers);
-        let total = NodeDriver::MAX_SEEN as u32 + 100;
+        let total = u32::try_from(NodeDriver::MAX_SEEN).unwrap() + 100;
         for i in 0..total {
             driver.record_flood(FloodUid { origin: NodeId::new(9), seq: i });
         }
@@ -2315,6 +2319,20 @@ mod tests {
             let expected: Vec<(NodeId, SimTime)> = model.into_iter().collect();
             prop_assert_eq!(iterated, expected);
         }
+    }
+
+    /// A sparse configured id space keeps the direct index at four slots
+    /// per configured peer: a far peer lives in the sorted tail, where
+    /// every lookup still finds it.
+    #[test]
+    fn sparse_peers_cap_the_direct_index() {
+        let far = NodeId::new(1_000_000);
+        let members = Membership::new(NodeId::new(0), vec![NodeId::new(1), NodeId::new(2), far]);
+        assert!(members.state.len() <= 12, "a direct index of {} slots", members.state.len());
+        assert_eq!(members.tail.iter().map(|&(id, _)| id).collect::<Vec<_>>(), [far]);
+        assert_eq!(members.state(far), Some(PeerState::Alive));
+        assert_eq!(members.last_seen(far), Some(SimTime::ZERO));
+        assert_eq!(members.ids().collect::<Vec<_>>(), [1, 2, 1_000_000].map(NodeId::new));
     }
 
     /// However many distinct unknown senders the wire carries, at most

@@ -373,7 +373,7 @@ impl<P: aria_probe::Probe> World<P> {
         self.nodes.iter().enumerate().find_map(|(i, state)| {
             let held = state.queue.is_waiting(job)
                 || state.queue.running().is_some_and(|r| r.spec.id == job);
-            (state.alive && held).then(|| NodeId::new(i as u32))
+            (state.alive && held).then(|| NodeId::from_index(i))
         })
     }
 

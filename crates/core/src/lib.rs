@@ -65,9 +65,6 @@
 //! assert_eq!(metrics.completed_count(), 20);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub mod baseline;
 pub mod config;
 mod dense;

@@ -16,6 +16,7 @@ use std::fmt;
 /// flood's last in-flight message lands, so the id space stays as small
 /// as the peak number of concurrent floods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct FloodId(pub u32);
 
 impl fmt::Display for FloodId {

@@ -47,6 +47,7 @@ impl NetModel {
     ) -> NodeId {
         match self {
             NetModel::Sampled => *rng.choose(candidates),
+            #[expect(clippy::cast_possible_truncation, reason = "the remainder is in range")]
             NetModel::Lockstep => candidates[(job.raw() % candidates.len() as u64) as usize],
         }
     }

@@ -133,6 +133,7 @@ impl Default for VisitedSet {
 impl VisitedSet {
     /// An empty set for a world of `nodes` indices. Allocation-free: the
     /// bitset tier materializes only if the set spills.
+    #[expect(clippy::cast_possible_truncation, reason = "node indices are u32 (NodeId)")]
     pub fn with_capacity(nodes: usize) -> Self {
         VisitedSet {
             len: 0,
@@ -147,6 +148,7 @@ impl VisitedSet {
     /// and, if a spill allocation exists, re-sizes it to the *current*
     /// world up front (a recycled slot must not keep its pre-join
     /// capacity and re-grow on the first out-of-range insert).
+    #[expect(clippy::cast_possible_truncation, reason = "node indices are u32 (NodeId)")]
     pub fn reset(&mut self, nodes: usize) {
         self.len = 0;
         self.spilled = false;
@@ -309,14 +311,14 @@ mod tests {
     #[test]
     fn visited_set_stays_inline_below_the_threshold() {
         let mut set = VisitedSet::with_capacity(100_000);
-        for i in 0..SMALL_CAP as u32 {
-            assert!(set.insert(NodeId::new(i * 3)));
+        for i in 0..SMALL_CAP {
+            assert!(set.insert(NodeId::from_index(i * 3)));
         }
         assert!(!set.is_spilled(), "{SMALL_CAP} members must fit inline");
         assert_eq!(set.spill_capacity(), 0, "no heap until the spill");
         assert_eq!(set.len(), SMALL_CAP);
         assert!(set.contains(NodeId::new(0)));
-        assert!(set.contains(NodeId::new((SMALL_CAP as u32 - 1) * 3)));
+        assert!(set.contains(NodeId::from_index((SMALL_CAP - 1) * 3)));
         assert!(!set.contains(NodeId::new(1)));
         assert!(!set.insert(NodeId::new(0)), "duplicate must be reported inline");
     }
@@ -324,15 +326,15 @@ mod tests {
     #[test]
     fn visited_set_spills_past_the_threshold_and_keeps_semantics() {
         let mut set = VisitedSet::with_capacity(1000);
-        for i in 0..SMALL_CAP as u32 + 1 {
-            assert!(set.insert(NodeId::new(i)));
+        for i in 0..=SMALL_CAP {
+            assert!(set.insert(NodeId::from_index(i)));
         }
         assert!(set.is_spilled());
         assert_eq!(set.len(), SMALL_CAP + 1);
         assert_eq!(set.spill_capacity(), 1024, "spill sized to the world (word-rounded)");
-        for i in 0..SMALL_CAP as u32 + 1 {
-            assert!(set.contains(NodeId::new(i)));
-            assert!(!set.insert(NodeId::new(i)), "duplicate after spill");
+        for i in 0..=SMALL_CAP {
+            assert!(set.contains(NodeId::from_index(i)));
+            assert!(!set.insert(NodeId::from_index(i)), "duplicate after spill");
         }
         assert!(!set.contains(NodeId::new(999)));
     }
@@ -340,8 +342,8 @@ mod tests {
     #[test]
     fn visited_set_insert_beyond_world_grows_like_the_bitset() {
         let mut set = VisitedSet::with_capacity(64);
-        for i in 0..SMALL_CAP as u32 + 1 {
-            set.insert(NodeId::new(i));
+        for i in 0..=SMALL_CAP {
+            set.insert(NodeId::from_index(i));
         }
         // Post-join id beyond the armed world: answers false, then grows.
         assert!(!set.contains(NodeId::new(5000)));
@@ -352,8 +354,8 @@ mod tests {
     #[test]
     fn visited_set_reset_resizes_a_spilled_slot_to_the_current_world() {
         let mut set = VisitedSet::with_capacity(64);
-        for i in 0..SMALL_CAP as u32 + 1 {
-            set.insert(NodeId::new(i));
+        for i in 0..=SMALL_CAP {
+            set.insert(NodeId::from_index(i));
         }
         assert_eq!(set.spill_capacity(), 64);
         // The world grew (joins) before the slot is recycled: the spill

@@ -258,12 +258,13 @@ impl<P: Probe> World<P> {
         for at in &config.crashes {
             events.schedule(*at, Event::Crash);
         }
+        #[expect(clippy::cast_possible_truncation, reason = "a plan holds a handful of windows")]
         for (i, window) in config.fault.partitions.iter().enumerate() {
             events.schedule(window.start, Event::PartitionStart { window: i as u32 });
             events.schedule(window.end(), Event::PartitionEnd { window: i as u32 });
         }
         // Every node starts alive and idle with an empty waiting list.
-        let alive: Vec<NodeId> = (0..nodes.len() as u32).map(NodeId::new).collect();
+        let alive: Vec<NodeId> = (0..nodes.len()).map(NodeId::from_index).collect();
         let idle_alive = nodes.len();
         let mut world = World {
             config,
@@ -306,7 +307,7 @@ impl<P: Probe> World<P> {
             // heap 100000→200000 where 131072 had room, +15 % peak RSS.
             world.events.reserve(world.config.nodes.next_power_of_two());
             for i in 0..world.config.nodes {
-                world.schedule_first_inform_tick(NodeId::new(i as u32));
+                world.schedule_first_inform_tick(NodeId::from_index(i));
             }
         }
         world
@@ -582,7 +583,7 @@ impl<P: Probe> World<P> {
         let mut idle_recount = 0usize;
         let mut queued_recount = 0u64;
         for (i, state) in self.nodes.iter().enumerate() {
-            let node = NodeId::new(i as u32);
+            let node = NodeId::from_index(i);
             state.queue.validate();
             if !state.alive {
                 ensure!(
@@ -885,6 +886,7 @@ impl<P: Probe> World<P> {
             self.floods.get_mut(flood).in_flight += 1;
             self.send_routed(now, initiator, seed, request);
         }
+        #[expect(clippy::cast_possible_truncation, reason = "at most request_fanout seeds")]
         self.probe.record(
             now,
             ProbeEvent::RequestRound {
@@ -1320,6 +1322,7 @@ impl<P: Probe> World<P> {
         self.idle_alive -= usize::from(state.queue.is_idle());
         self.queued_alive += 1;
         state.queue.enqueue(spec, now, &profile);
+        #[expect(clippy::cast_possible_truncation, reason = "queues hold far fewer than 2^32 jobs")]
         let depth = state.queue.waiting_len() as u32;
         self.probe.record(now, ProbeEvent::Enqueued { job, node, depth });
         self.try_start(now, node);
@@ -1367,7 +1370,11 @@ impl<P: Probe> World<P> {
         let mut rng = self.rng.fork(6);
         let horizon_ms = self.config.horizon.as_millis().max(1);
         for i in 0..self.nodes.len() {
-            // det:allow(lossy-float-cast): floor() of a small non-negative mean
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "floor() of a small non-negative mean"
+            )]
             let mut count = plan.mean_per_node.floor() as u64;
             if rng.chance(plan.mean_per_node.fract()) {
                 count += 1;
@@ -1510,6 +1517,7 @@ impl<P: Probe> World<P> {
         if let Some(running) = state.queue.complete_running() {
             lost_jobs.push(running.spec.id);
         }
+        #[expect(clippy::cast_possible_truncation, reason = "queues hold far fewer than 2^32 jobs")]
         self.probe.record(
             now,
             ProbeEvent::NodeCrashed { node: victim, lost_jobs: lost_jobs.len() as u32 },
@@ -1569,6 +1577,7 @@ impl<P: Probe> World<P> {
         // recounts them against the ground truth).
         let idle = self.idle_alive;
         let queued = self.queued_alive;
+        #[expect(clippy::cast_possible_truncation, reason = "bounded by the jobs submitted")]
         self.metrics.sample_gauges(idle, queued as usize);
         self.probe.record(
             now,
@@ -2054,7 +2063,7 @@ mod tests {
             assert_eq!(world.topology().degree(dead), 0);
         }
         // Everything either completed or is explicitly accounted lost.
-        let completed = world.metrics().completed_count() as usize;
+        let completed = usize::try_from(world.metrics().completed_count()).unwrap();
         let lost = world.lost_jobs().len();
         let abandoned = world.abandoned_jobs().len();
         assert_eq!(completed + lost + abandoned, 40, "job accounting broken");
@@ -2082,7 +2091,7 @@ mod tests {
             SubmissionSchedule::new(SimTime::from_mins(1), SimDuration::from_secs(5), 60);
         world.submit_schedule(&schedule, &mut jobs);
         world.run();
-        let completed = world.metrics().completed_count() as usize;
+        let completed = usize::try_from(world.metrics().completed_count()).unwrap();
         let lost = world.lost_jobs().len();
         assert_eq!(completed + lost + world.abandoned_jobs().len(), 60);
         assert!(lost > 0, "a crash mid-backlog with no failsafe must lose jobs");
@@ -2203,12 +2212,12 @@ mod tests {
             world.handle(t, event);
         }
 
-        let retries = world.config.aria.assign_max_retries as usize;
+        let retries = world.config.aria.assign_max_retries;
         assert!(
-            drops > retries,
+            drops > retries as usize,
             "the full retransmit ladder must have been exhausted (only {drops} drops)"
         );
-        assert_eq!(max_attempt, retries as u32, "every retry attempt must have been armed");
+        assert_eq!(max_attempt, retries, "every retry attempt must have been armed");
         assert_eq!(world.recovered_count(), 1, "the failsafe must recover the stranded job");
         assert_eq!(world.metrics().completed_count(), 20, "no job may be stranded");
         assert!(world.lost_jobs().is_empty());

@@ -12,6 +12,7 @@ use std::fmt;
 /// grid" (§III-B); inside the simulator a dense 64-bit id provides the
 /// same guarantee at lower cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct JobId(u64);
 
 impl JobId {
@@ -38,6 +39,7 @@ impl fmt::Display for JobId {
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
 )]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct JobPriority(pub u8);
 
 impl fmt::Display for JobPriority {

@@ -42,9 +42,6 @@
 //! # Ok::<(), aria_grid::InvalidPerfIndex>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub mod job;
 pub mod queue;
 pub mod reservation;

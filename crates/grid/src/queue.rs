@@ -84,6 +84,7 @@ impl fmt::Display for CostKind {
 /// ETTC costs are non-negative (a relative time to completion); NAL costs
 /// are signed (negative when every queued job meets its deadline).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct Cost(i64);
 
 impl Cost {

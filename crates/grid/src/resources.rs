@@ -9,6 +9,7 @@ use std::fmt;
 /// CPU architecture of a grid node, per the TOP500 list used by the paper
 /// (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over the variants")]
 pub enum Architecture {
     /// x86-64 (87.2 % of the TOP500 distribution used in the paper).
     Amd64,
@@ -53,6 +54,7 @@ impl fmt::Display for Architecture {
 /// Operating system installed on a grid node, per the TOP500 list used by
 /// the paper (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over the variants")]
 pub enum OperatingSystem {
     /// Linux (88.6 %).
     Linux,
@@ -108,7 +110,7 @@ impl Error for InvalidPerfIndex {}
 /// The index compares the node's computing power to the grid-wide
 /// baseline hardware used to express Estimated Running Times: a job with
 /// estimate `ERT` runs in `ERTp = ERT / p` on this node.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PerfIndex(f64);
 
 impl PerfIndex {

@@ -50,9 +50,6 @@
 //! # Ok::<(), aria_jsdl::JsdlError>(())
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub mod model;
 pub mod xml;
 

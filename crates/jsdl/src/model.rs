@@ -218,8 +218,17 @@ impl JobDefinition {
     }
 }
 
+/// 2^64: the first byte count a `u64` bound cannot hold.
+const U64_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
 /// Reads `<element><LowerBoundedRange>N</LowerBoundedRange></element>`;
-/// a missing element means "no requirement" (0 bytes).
+/// a missing element means "no requirement" (0 bytes). A negative, NaN
+/// or infinite bound, or one of 2^64 bytes or more, is a typed error.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the bound is checked to lie in [0, 2^64) first; the cast drops only a fraction"
+)]
 fn lower_bound(resources: &Element<'_>, name: &str) -> Result<u64, JsdlError> {
     match resources.descend(&[name, "LowerBoundedRange"]) {
         None => Ok(0),
@@ -228,7 +237,7 @@ fn lower_bound(resources: &Element<'_>, name: &str) -> Result<u64, JsdlError> {
             // JSDL ranges are xsd:double; accept integers and doubles.
             .parse::<f64>()
             .ok()
-            .filter(|v| *v >= 0.0 && v.is_finite())
+            .filter(|v| (0.0..U64_LIMIT).contains(v))
             .map(|v| v as u64)
             .ok_or_else(|| JsdlError::Value(format!("bad {name} bound `{}`", e.text))),
     }
@@ -416,6 +425,23 @@ mod tests {
     fn negative_bounds_are_rejected() {
         let doc = sample_doc().replace("8589934592", "-5");
         assert!(matches!(JobDefinition::parse(&doc), Err(JsdlError::Value(_))));
+    }
+
+    /// A bound a `u64` cannot hold is an error, not a saturated
+    /// `u64::MAX` that `to_xml` would write back as a different value.
+    #[test]
+    fn bounds_past_u64_are_rejected() {
+        for huge in ["1e30", "18446744073709551616", "inf", "NaN"] {
+            let doc = sample_doc().replace("8589934592", huge);
+            assert!(
+                matches!(JobDefinition::parse(&doc), Err(JsdlError::Value(_))),
+                "bound `{huge}` must be rejected"
+            );
+        }
+        // The largest double below 2^64 still parses.
+        let doc = sample_doc().replace("8589934592", "18446744073709549568");
+        let def = JobDefinition::parse(&doc).unwrap();
+        assert_eq!(def.min_memory_bytes, 18_446_744_073_709_549_568);
     }
 
     #[test]

@@ -33,7 +33,7 @@ impl DeadlineStats {
             let Some(slack) = record.deadline_slack() else { continue };
             if slack >= 0 {
                 stats.met += 1;
-                stats.slack_ms_sum += slack as u64;
+                stats.slack_ms_sum += slack.unsigned_abs();
             } else {
                 stats.missed += 1;
                 stats.missed_ms_sum += slack.unsigned_abs();

@@ -39,9 +39,6 @@
 //! assert_eq!(record.execution_time(), Some(SimDuration::from_mins(120)));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub mod collector;
 pub mod deadline;
 pub mod record;

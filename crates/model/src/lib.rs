@@ -34,9 +34,6 @@
 //! on a fresh world, and `cargo xtask explore` prints it ready to paste
 //! into a regression test.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 use aria_core::{Action, Message, NetModel, OverlayKind, PolicyMix, World, WorldConfig};
 use aria_grid::{Cost, JobId, JobRequirements, JobSpec, Policy};
 use aria_overlay::NodeId;
@@ -61,8 +58,7 @@ pub enum Property {
     Protocol,
     /// A deliberately false property — "no job ever starts executing" —
     /// used by `cargo xtask explore --self-check` to prove the checker
-    /// still *finds* violations and that its traces replay (the
-    /// `lint --self-check` pattern).
+    /// still *finds* violations and that its traces replay.
     SelfCheckNoExecution,
 }
 

@@ -27,9 +27,6 @@
 //! `peer-dead` (and, with restarts, `peer-rejoined`) probe events in
 //! the merged trace.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 use aria_core::config::ProtocolTiming;
 use aria_core::driver::{DriverConfig, MembershipConfig};
 use aria_core::AriaConfig;
@@ -71,6 +68,11 @@ fn split_ints(flag: &str, raw: &str, min: usize, max: usize) -> Result<Vec<u64>,
     Ok(parts)
 }
 
+/// The node-index field of a `--kill`/`--loss-window` spec.
+fn node_id(flag: &str, raw: u64) -> Result<u32, String> {
+    u32::try_from(raw).map_err(|e| format!("{flag} node `{raw}`: {e}"))
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         nodes: 5,
@@ -99,12 +101,12 @@ fn parse_args() -> Result<Args, String> {
             "--loss" => args.loss = value("--loss")?.parse().map_err(|e| format!("{e}"))?,
             "--loss-window" => {
                 let v = split_ints("--loss-window", &value("--loss-window")?, 3, 3)?;
-                args.loss_windows.push((v[0] as u32, v[1], v[2]));
+                args.loss_windows.push((node_id("--loss-window", v[0])?, v[1], v[2]));
             }
             "--drop-first-assign" => args.drop_first_assign = true,
             "--kill" => {
                 let v = split_ints("--kill", &value("--kill")?, 2, 3)?;
-                args.kills.push((v[0] as u32, v[1], v.get(2).copied()));
+                args.kills.push((node_id("--kill", v[0])?, v[1], v.get(2).copied()));
             }
             "--submit-gap-ms" => {
                 args.submit_gap_ms =

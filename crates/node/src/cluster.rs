@@ -344,7 +344,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
     let peers: Vec<(NodeId, String)> = node_addrs
         .iter()
         .enumerate()
-        .map(|(i, addr)| (NodeId::new(i as u32), addr.clone()))
+        .map(|(i, addr)| (NodeId::from_index(i), addr.clone()))
         .collect();
 
     // One incarnation's config + spawn; `incarnation` 0 is the initial
@@ -463,7 +463,8 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
             churn_next += 1;
         }
         while next_submit < workload.len()
-            && started.elapsed() >= spec.submit_gap * next_submit as u32
+            && started.elapsed()
+                >= spec.submit_gap * u32::try_from(next_submit).expect("fewer than 2^32 jobs")
         {
             let job = &workload[next_submit];
             let target_node = submit_targets[next_submit % submit_targets.len()];

@@ -411,7 +411,7 @@ fn opt_float(section: &Section, key: &str) -> Option<f64> {
 fn ms(section: &Section, key: &str, default: SimDuration) -> Result<SimDuration, ConfigError> {
     match section.get(key) {
         None => Ok(default),
-        Some(Value::Int(v)) if *v >= 0 => Ok(SimDuration::from_millis(*v as u64)),
+        Some(Value::Int(v)) if *v >= 0 => Ok(SimDuration::from_millis(v.unsigned_abs())),
         Some(_) => err(format!("timing.{key} must be a non-negative integer (milliseconds)")),
     }
 }

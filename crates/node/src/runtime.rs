@@ -62,7 +62,8 @@ pub struct RunReport {
 
 /// Maximum blocking-receive timeout; also the idle tick when no timer
 /// is armed, keeping the loop responsive to shutdown.
-const MAX_POLL: Duration = Duration::from_millis(50);
+const MAX_POLL_MS: u64 = 50;
+const MAX_POLL: Duration = Duration::from_millis(MAX_POLL_MS);
 
 /// Runs a node until a `Shutdown` frame arrives. Returns the report
 /// after flushing the probe trace (if configured).
@@ -102,7 +103,9 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
     let mut armed_first_assign_drop = config.drop_first_assign;
 
     let epoch = Instant::now();
-    let now_sim = |epoch: &Instant| SimTime::from_millis(epoch.elapsed().as_millis() as u64);
+    let now_sim = |epoch: &Instant| {
+        SimTime::from_millis(u64::try_from(epoch.elapsed().as_millis()).unwrap_or(u64::MAX))
+    };
 
     let mut now = now_sim(&epoch);
     let startup = driver.start(now);
@@ -125,7 +128,7 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
         let timeout = match wheel.next_deadline() {
             Some(at) => {
                 let wait = at.saturating_since(now).as_millis();
-                Duration::from_millis(wait.clamp(1, MAX_POLL.as_millis() as u64))
+                Duration::from_millis(wait.clamp(1, MAX_POLL_MS))
             }
             None => MAX_POLL,
         };
@@ -236,7 +239,7 @@ impl Tracer {
 
 /// Executes one batch of driver outputs against the real transport,
 /// wheel and trace.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one call site threads the whole loop state")]
 fn execute(
     driver: &mut NodeDriver,
     socket: &UdpSocket,

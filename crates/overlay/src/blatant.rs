@@ -53,12 +53,16 @@ impl Blatant {
     /// # Panics
     ///
     /// Panics if `target_path_length < 2`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "ceil of a config value asserted >= 2; an absurd bound saturates"
+    )]
     pub fn new(target_path_length: f64, latency: LatencyModel) -> Self {
         assert!(target_path_length >= 2.0, "path length bound must be at least 2");
         Blatant {
             target_path_length,
             latency,
-            // det:allow(lossy-float-cast): ceil of a small positive config value
             walk_length: (target_path_length * 2.0).ceil() as u32,
             min_degree: 2,
         }
@@ -67,6 +71,18 @@ impl Blatant {
     /// The configured average-path-length bound.
     pub fn target_path_length(&self) -> f64 {
         self.target_path_length
+    }
+
+    /// The hop distance above which an ant adds or keeps a shortcut:
+    /// half the average bound, rounded up. Stricter than the average
+    /// target, which is what drags the *average* below it.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "ceil of a bound asserted >= 2 in `new`; an absurd bound saturates"
+    )]
+    fn local_bound(&self) -> u32 {
+        (self.target_path_length / 2.0).ceil() as u32
     }
 
     /// Builds an overlay of `n` nodes whose average path length is below
@@ -82,8 +98,8 @@ impl Blatant {
             return topo;
         }
         for i in 0..n {
-            let next = NodeId::new(((i + 1) % n) as u32);
-            topo.connect(NodeId::new(i as u32), next, self.latency.sample(rng));
+            let next = NodeId::from_index((i + 1) % n);
+            topo.connect(NodeId::from_index(i), next, self.latency.sample(rng));
         }
         if n <= 3 {
             return topo;
@@ -134,7 +150,7 @@ impl Blatant {
         rng: &mut SimRng,
         hop: &mut Vec<NodeId>,
     ) {
-        let ants = ((n as f64).sqrt() as usize).max(4); // det:allow(lossy-float-cast): floor(sqrt(n)) is exact for any grid size
+        let ants = n.isqrt().max(4);
         for _ in 0..ants {
             self.construction_ant(topo, rng, hop);
         }
@@ -143,17 +159,12 @@ impl Blatant {
     /// A construction ant: random-walks from its nest and proposes a
     /// shortcut to where it ends up if the nest is too far away.
     fn construction_ant(&self, topo: &mut Topology, rng: &mut SimRng, hop: &mut Vec<NodeId>) {
-        let nest = NodeId::new(rng.u64_range(0, topo.len() as u64) as u32);
+        let nest = NodeId::from_index(rng.index(topo.len()));
         let here = random_walk(topo, nest, None, self.walk_length.into(), rng, hop);
         if here == nest || topo.are_connected(nest, here) {
             return;
         }
-        // The bound the ant enforces is stricter than the average target:
-        // local distances above ~half the bound get a shortcut. This is
-        // what drags the *average* below the target.
-        // det:allow(lossy-float-cast): ceil of a small positive config value
-        let bound = (self.target_path_length / 2.0).ceil() as u32;
-        if topo.bounded_distance(nest, here, bound).is_none() {
+        if topo.bounded_distance(nest, here, self.local_bound()).is_none() {
             topo.connect(nest, here, self.latency.sample(rng));
         }
     }
@@ -165,7 +176,7 @@ impl Blatant {
         if topo.is_empty() {
             return;
         }
-        let a = NodeId::new(rng.u64_range(0, topo.len() as u64) as u32);
+        let a = NodeId::from_index(rng.index(topo.len()));
         if topo.degree(a) <= self.min_degree {
             return;
         }
@@ -174,9 +185,7 @@ impl Blatant {
             return;
         }
         topo.disconnect(a, b);
-        // det:allow(lossy-float-cast): ceil of a small positive config value
-        let bound = (self.target_path_length / 2.0).ceil() as u32;
-        if topo.bounded_distance(a, b, bound).is_none() {
+        if topo.bounded_distance(a, b, self.local_bound()).is_none() {
             // The link was load-bearing: restore it.
             topo.connect(a, b, self.latency.sample(rng));
         }
@@ -194,10 +203,10 @@ impl Blatant {
         if topo.len() == 1 {
             return newcomer;
         }
-        let contact = NodeId::new(rng.u64_range(0, topo.len() as u64 - 1) as u32);
+        let contact = NodeId::from_index(rng.index(topo.len() - 1));
         topo.connect(newcomer, contact, self.latency.sample(rng));
 
-        let extra_links = rng.u64_range(1, 4) as usize;
+        let extra_links = 1 + rng.index(3);
         let mut hop = Vec::new();
         for _ in 0..extra_links {
             let here =

@@ -20,8 +20,8 @@ pub fn ring(n: usize, latency: &LatencyModel, rng: &mut SimRng) -> Topology {
         return topo;
     }
     for i in 0..n {
-        let next = NodeId::new(((i + 1) % n) as u32);
-        topo.connect(NodeId::new(i as u32), next, latency.sample(rng));
+        let next = NodeId::from_index((i + 1) % n);
+        topo.connect(NodeId::from_index(i), next, latency.sample(rng));
     }
     topo
 }
@@ -59,8 +59,8 @@ pub fn random_regular(n: usize, d: usize, latency: &LatencyModel, rng: &mut SimR
     let mut attempts = 0;
     while topo.link_count() < target_links && attempts < n * d * 20 {
         attempts += 1;
-        let a = NodeId::new(rng.u64_range(0, n as u64) as u32);
-        let b = NodeId::new(rng.u64_range(0, n as u64) as u32);
+        let a = NodeId::from_index(rng.index(n));
+        let b = NodeId::from_index(rng.index(n));
         if a != b && !topo.are_connected(a, b) {
             topo.connect(a, b, latency.sample(rng));
         }
@@ -94,22 +94,22 @@ pub fn watts_strogatz(
     }
     for i in 0..n {
         for j in 1..=k / 2 {
-            let neighbor = NodeId::new(((i + j) % n) as u32);
-            topo.connect(NodeId::new(i as u32), neighbor, latency.sample(rng));
+            let neighbor = NodeId::from_index((i + j) % n);
+            topo.connect(NodeId::from_index(i), neighbor, latency.sample(rng));
         }
     }
     // Rewire each lattice link with probability beta.
     for i in 0..n {
-        let a = NodeId::new(i as u32);
+        let a = NodeId::from_index(i);
         for j in 1..=k / 2 {
-            let b = NodeId::new(((i + j) % n) as u32);
+            let b = NodeId::from_index((i + j) % n);
             if !rng.chance(beta) || !topo.are_connected(a, b) {
                 continue;
             }
             if topo.degree(a) <= 2 || topo.degree(b) <= 2 {
                 continue;
             }
-            let c = NodeId::new(rng.u64_range(0, n as u64) as u32);
+            let c = NodeId::from_index(rng.index(n));
             if c != a && !topo.are_connected(a, c) {
                 topo.disconnect(a, b);
                 topo.connect(a, c, latency.sample(rng));

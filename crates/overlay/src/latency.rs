@@ -57,12 +57,16 @@ impl LatencyModel {
     }
 
     /// Samples a one-way link latency.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "exp() of a value in [ln(min), ln(max)], rounded: a whole millisecond count"
+    )]
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         if self.min_ms == self.max_ms {
             return SimDuration::from_millis(self.min_ms);
         }
         let (lo, hi) = ((self.min_ms as f64).ln(), (self.max_ms as f64).ln());
-        // det:allow(lossy-float-cast): exp() of a value in [ln(min), ln(max)], rounded
         SimDuration::from_millis(rng.f64_range(lo, hi).exp().round() as u64)
     }
 }

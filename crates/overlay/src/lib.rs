@@ -37,9 +37,6 @@
 //! assert!(topo.avg_path_length() <= 9.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub mod blatant;
 pub mod builders;
 pub mod latency;

@@ -10,6 +10,7 @@ use std::fmt;
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
 )]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -26,6 +27,18 @@ impl NodeId {
     /// The index as `usize`, for slice addressing.
     pub const fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The id of the node at slice index `index`: the inverse of
+    /// [`NodeId::index`].
+    #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "ids are dense u32 slice indices; a world never holds 2^32 nodes"
+    )]
+    pub const fn from_index(index: usize) -> Self {
+        debug_assert!(index <= u32::MAX as usize, "node index overflows a NodeId");
+        NodeId(index as u32)
     }
 }
 
@@ -93,7 +106,7 @@ impl Topology {
 
     /// Adds a new isolated node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.adjacency.len() as u32);
+        let id = NodeId::from_index(self.adjacency.len());
         self.adjacency.push(Vec::new());
         self.latencies.push(Vec::new());
         id
@@ -111,7 +124,7 @@ impl Topology {
 
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.adjacency.len() as u32).map(NodeId)
+        (0..self.adjacency.len()).map(NodeId::from_index)
     }
 
     /// Creates an undirected link with the given one-way latency.

@@ -16,8 +16,8 @@ proptest! {
     ) {
         let mut topo = Topology::with_nodes(n);
         for (a, b, add) in ops {
-            let a = NodeId::new(a % n as u32);
-            let b = NodeId::new(b % n as u32);
+            let a = NodeId::from_index(a as usize % n);
+            let b = NodeId::from_index(b as usize % n);
             if add {
                 topo.connect(a, b, SimDuration::from_millis(10));
             } else {
@@ -44,8 +44,9 @@ proptest! {
     ) {
         let mut topo = Topology::with_nodes(n);
         for (op, a, b, ms) in ops {
-            let len = topo.len() as u32;
-            let (a, b) = (NodeId::new(a % len), NodeId::new(b % len));
+            let len = topo.len();
+            let a = NodeId::from_index(a as usize % len);
+            let b = NodeId::from_index(b as usize % len);
             let latency = SimDuration::from_millis(ms);
             match op {
                 0 | 1 => topo.connect(a, b, latency),

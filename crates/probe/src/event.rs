@@ -26,6 +26,7 @@ macro_rules! named_enum {
     ($(#[$meta:meta])* $name:ident { $($(#[$vmeta:meta])* $variant:ident = $wire:literal,)* }) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over the variants")]
         pub enum $name {
             $($(#[$vmeta])* $variant,)*
         }

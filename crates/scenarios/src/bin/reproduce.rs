@@ -20,9 +20,6 @@
 //! cargo run --release -p aria-scenarios --bin reproduce -- ablations --out results
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 use aria_scenarios::{Campaign, Runner};
 use std::process::ExitCode;
 

@@ -17,9 +17,6 @@
 //! cargo run --release -p aria-scenarios --bin run-scenario -- iMixed --seed 3 --out /tmp/imixed
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 use aria_probe::NullProbe;
 use aria_scenarios::{Runner, Scenario};
 use std::path::PathBuf;

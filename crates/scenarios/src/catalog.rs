@@ -12,7 +12,7 @@ use std::fmt;
 /// By the paper's naming convention, scenarios whose name starts with `i`
 /// have dynamic rescheduling enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[allow(missing_docs)] // the variants are the paper's scenario names
+#[allow(missing_docs, reason = "the variants are the paper's scenario names")]
 pub enum Scenario {
     Fcfs,
     Sjf,

@@ -437,7 +437,7 @@ fn series_block(results: &[ScenarioResult], series: impl Fn(&ScenarioResult) -> 
         .map(|(_, s)| s.period().as_millis() / 60_000)
         .unwrap_or(5)
         .max(1);
-    let stride = (30 / period_mins).max(1) as usize;
+    let stride = usize::try_from((30 / period_mins).max(1)).expect("at most 30");
     let thinned: Vec<(String, TimeSeries)> =
         columns.into_iter().map(|(name, s)| (name, s.thin(stride))).collect();
 

@@ -30,9 +30,6 @@
 //! assert_eq!(result.runs[0].completed, 30);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub mod catalog;
 pub mod figures;
 pub mod plot;

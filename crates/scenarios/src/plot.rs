@@ -54,12 +54,16 @@ pub fn ascii_chart(series: &[(&str, &TimeSeries)], width: usize, height: usize) 
     let mut grid = vec![vec![' '; width]; height];
     for (index, (_, s)) in series.iter().enumerate() {
         let mark = MARKS[index % MARKS.len()];
-        #[allow(clippy::needless_range_loop)] // col indexes two parallel structures
+        #[allow(clippy::needless_range_loop, reason = "col indexes two parallel structures")]
         for col in 0..width {
             // Sample the series at this column (nearest index).
             let i = col * columns.saturating_sub(1) / width.saturating_sub(1).max(1);
             let Some(&v) = s.values().get(i) else { continue };
-            // det:allow(lossy-float-cast): plot bucket index, clamped on the next line
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "plot bucket index, clamped on the next line"
+            )]
             let row = ((v - lo) / (hi - lo) * (height - 1) as f64).round() as usize;
             let row = height - 1 - row.min(height - 1);
             grid[row][col] = mark;

@@ -276,8 +276,12 @@ impl Runner {
         world.submit_schedule(&self.schedule_for(scenario), &mut generator);
         // Timing the loop from outside is pure observability: the
         // reading is reported, never fed back into the simulation.
-        #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
-        let start = std::time::Instant::now(); // det:allow(wall-clock): observability-only timing around the run
+        #[expect(
+            clippy::disallowed_types,
+            clippy::disallowed_methods,
+            reason = "wall time is reported, never fed back into the simulation"
+        )]
+        let start = std::time::Instant::now();
         if checked {
             world.run_checked();
         } else {
@@ -321,7 +325,11 @@ impl Runner {
             let shrink = nodes as f64 / config.nodes as f64;
             config.nodes = nodes;
             // Scale the expanding-scenario joins with the grid.
-            // det:allow(lossy-float-cast): shrink <= 1, so round(len * shrink) fits
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "shrink is in [0, 1], so round(len * shrink) fits"
+            )]
             let keep = (config.joins.len() as f64 * shrink).round() as usize;
             config.joins.truncate(keep);
             // Small overlays cannot sustain a 9-hop average path bound.

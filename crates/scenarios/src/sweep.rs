@@ -51,7 +51,7 @@ impl SweepPoint {
     /// exactly one terminal column.
     #[must_use]
     pub fn conserved(&self) -> bool {
-        self.completed as usize + self.lost + self.abandoned == self.submitted
+        self.completed + (self.lost + self.abandoned) as u64 == self.submitted as u64
     }
 }
 
@@ -116,7 +116,7 @@ mod tests {
             assert!(point.conserved(), "ledger must balance: {point:?}");
             assert_eq!(point.lost, 0, "no job may be lost at 10% loss: {point:?}");
             assert_eq!(
-                point.completed as usize, point.submitted,
+                point.completed, point.submitted as u64,
                 "10% loss must still complete the workload: {point:?}"
             );
             assert!(point.injections > 0, "a 10% run must actually drop messages");

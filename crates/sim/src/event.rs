@@ -125,6 +125,7 @@ impl<E> EventQueue<E> {
     /// The list an entry with timestamp `at` belongs to under the current
     /// `last`.
     #[inline]
+    #[expect(clippy::cast_possible_truncation, reason = "the digit is masked below DIGITS")]
     fn list_of(&self, at: SimTime) -> usize {
         let diff = at.as_millis() ^ self.last.as_millis();
         if diff == 0 {
@@ -327,6 +328,7 @@ impl<E> EventQueue<E> {
             }
         }
         let (at, _, idx) = best?;
+        #[expect(clippy::cast_possible_truncation, reason = "slab indices fit u32")]
         let idx = idx as u32;
 
         // Unlink from the middle of its list: find the predecessor, then

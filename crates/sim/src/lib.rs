@@ -32,9 +32,6 @@
 //! assert!(queue.pop().is_none());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub mod event;
 pub mod pool;
 pub mod rng;

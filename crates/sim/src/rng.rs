@@ -115,6 +115,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `len == 0`.
+    #[expect(clippy::cast_possible_truncation, reason = "the draw is below `len`, a usize")]
     pub fn index(&mut self, len: usize) -> usize {
         assert!(len > 0, "cannot sample an index from an empty collection");
         self.bounded(len as u64) as usize

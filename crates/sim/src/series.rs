@@ -116,7 +116,7 @@ impl TimeSeries {
     /// Value of the series at an arbitrary instant (sample-and-hold), or
     /// `None` before the first sample.
     pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        let idx = (t.as_millis() / self.period.as_millis()) as usize;
+        let idx = usize::try_from(t.as_millis() / self.period.as_millis()).unwrap_or(usize::MAX);
         self.samples.get(idx.min(self.samples.len().saturating_sub(1))).copied()
     }
 

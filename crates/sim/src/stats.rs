@@ -152,6 +152,11 @@ impl fmt::Display for Summary {
 /// # Panics
 ///
 /// Panics if `q` is outside `[0, 1]` or any value is NaN.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "ceil of q * len with q in [0, 1] is a rank in [0, len], clamped below"
+)]
 pub fn percentile(values: &[f64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "percentile must be within [0,1]");
     if values.is_empty() {
@@ -159,7 +164,6 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
     }
     let mut sorted = values.to_vec();
     sorted.sort_by(|a, b| a.total_cmp(b));
-    // det:allow(lossy-float-cast): ceil of q*len <= len, clamped below anyway
     let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
     sorted[rank - 1]
 }

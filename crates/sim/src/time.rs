@@ -22,6 +22,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(format!("{t}"), "1h30m00s");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct SimTime(u64);
 
 /// A span of simulated time in milliseconds.
@@ -30,6 +31,7 @@ pub struct SimTime(u64);
 /// [`SimTime::signed_delta`] when a signed difference (e.g. lateness) is
 /// required.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct SimDuration(u64);
 
 impl SimTime {
@@ -112,8 +114,12 @@ impl SimDuration {
 
     /// Builds a duration from fractional seconds, rounding to the nearest
     /// millisecond and clamping negatives to zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "rounded and clamped non-negative first; an overflow saturates"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
-        // det:allow(lossy-float-cast): rounded and clamped non-negative by construction
         SimDuration((secs * 1000.0).round().max(0.0) as u64)
     }
 
@@ -148,9 +154,13 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics in debug builds if `factor` is negative or NaN.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "factor asserted non-negative and the product rounded; an overflow saturates"
+    )]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "duration scale factor must be non-negative");
-        // det:allow(lossy-float-cast): factor asserted non-negative; round() then truncate
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
@@ -160,9 +170,13 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics in debug builds if `factor` is not strictly positive.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "factor asserted positive and the quotient rounded; an overflow saturates"
+    )]
     pub fn div_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor > 0.0, "duration divisor must be positive");
-        // det:allow(lossy-float-cast): factor asserted positive; round() then truncate
         SimDuration((self.0 as f64 / factor).round() as u64)
     }
 

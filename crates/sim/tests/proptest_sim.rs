@@ -76,7 +76,7 @@ proptest! {
                     }
                 }
                 13 => {
-                    let (modulus, residue) = (2 + class as usize, raw as usize % 2);
+                    let (modulus, residue) = (2 + usize::from(class), usize::from(raw % 2 == 1));
                     let expected = take_first(&mut model, |e| e % modulus == residue);
                     for q in &mut queues {
                         prop_assert_eq!(q.remove_where(|&e| e % modulus == residue), expected);

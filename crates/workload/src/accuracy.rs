@@ -43,6 +43,11 @@ impl ArtModel {
     ///
     /// The result never goes below one simulated second: even a wildly
     /// overestimated job takes *some* time to run.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "rounded and clamped to >= 1 s first; an overflow saturates"
+    )]
     pub fn actual_running_time(
         &self,
         ert: SimDuration,
@@ -59,7 +64,6 @@ impl ArtModel {
                 ertp.as_millis() as f64 + drift_ms(epsilon, rng).abs()
             }
         };
-        // det:allow(lossy-float-cast): rounded and clamped to >= 1s before truncation
         SimDuration::from_millis(art_ms.round().max(1000.0) as u64)
     }
 }
@@ -88,11 +92,16 @@ mod tests {
     fn symmetric_drift_is_bounded_by_epsilon_of_ert() {
         let mut rng = SimRng::seed_from(2);
         let model = ArtModel::Symmetric { epsilon: 0.1 };
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "test bound, +1 absorbs the truncation"
+        )]
+        let bound = (ERT.as_millis() as f64 * 0.1) as u64 + 1;
         for _ in 0..5000 {
             let art = model.actual_running_time(ERT, ERTP, &mut rng);
             let drift = art.as_millis() as i64 - ERTP.as_millis() as i64;
-            // det:allow(lossy-float-cast): test bound, +1 absorbs the truncation
-            assert!(drift.unsigned_abs() <= (ERT.as_millis() as f64 * 0.1) as u64 + 1);
+            assert!(drift.unsigned_abs() <= bound);
         }
     }
 

@@ -30,9 +30,6 @@
 //! # let _ = profiles;
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub mod accuracy;
 pub mod distributions;
 pub mod jobs;

@@ -93,7 +93,10 @@ proptest! {
         for _ in 0..20 {
             let art = symmetric.actual_running_time(ert, ertp, &mut rng);
             let drift = art.as_millis() as i64 - ertp.as_millis() as i64;
-            // det:allow(lossy-float-cast): test bound, +1 below absorbs the truncation
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "test bound, +1 below absorbs the truncation"
+            )]
             let bound = (ert.as_millis() as f64 * epsilon) as i64 + ertp.as_millis() as i64;
             prop_assert!(drift.abs() <= bound + 1);
         }

@@ -32,6 +32,7 @@ use aria_core::{FaultPlan, PartitionWindow, World, WorldConfig};
 use aria_probe::{NullProbe, Probe, RingRecorder, TraceMeta};
 use aria_sim::{SimDuration, SimRng, SimTime};
 use aria_workload::{JobGenerator, SubmissionSchedule};
+use crate::flag_value;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo xtask chaos [--schedules N] [--seed N] [--nodes N] [--jobs N] \
@@ -61,18 +62,14 @@ pub fn run(args: &[String]) -> ExitCode {
     }
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
-        let mut number = |what: &str| -> Result<u64, String> {
-            iter.next()
-                .ok_or_else(|| format!("{flag} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{flag} {what}: {e}"))
-        };
         let parsed = match flag.as_str() {
-            "--schedules" => number("schedules").map(|v| schedules = v),
-            "--seed" => number("seed").map(|v| seed = v),
-            "--nodes" => number("nodes").map(|v| nodes = v as usize),
-            "--jobs" => number("jobs").map(|v| jobs = v as usize),
-            "--workers" => number("workers").map(|v| workers = (v as usize).max(1)),
+            "--schedules" => flag_value(flag, "schedules", iter.next()).map(|v| schedules = v),
+            "--seed" => flag_value(flag, "seed", iter.next()).map(|v| seed = v),
+            "--nodes" => flag_value(flag, "nodes", iter.next()).map(|v| nodes = v),
+            "--jobs" => flag_value(flag, "jobs", iter.next()).map(|v| jobs = v),
+            "--workers" => {
+                flag_value(flag, "workers", iter.next()).map(|v: usize| workers = v.max(1))
+            }
             "--sweep" => {
                 sweep = true;
                 Ok(())
@@ -120,7 +117,7 @@ struct RunOutcome {
     fired: Vec<u64>,
     /// Human-readable fault log of the run.
     records: Vec<String>,
-    completed: u64,
+    completed: usize,
     lost: usize,
     abandoned: usize,
 }
@@ -138,19 +135,19 @@ impl ChaosCase {
         world.submit_schedule(&schedule, &mut generator);
         let audited = world.run_audited();
 
-        let completed = world.metrics().completed_count();
+        let completed = usize::try_from(world.metrics().completed_count()).expect("fits usize");
         let lost = world.lost_jobs().len();
         let abandoned = world.abandoned_jobs().len();
         let recovered = world.recovered_count();
         let verdict = audited.and_then(|()| {
-            if completed as usize + lost + abandoned != self.jobs {
+            if completed + lost + abandoned != self.jobs {
                 return Err(format!(
                     "job conservation violated: {completed} completed + {lost} lost + \
                      {abandoned} abandoned != {} submitted",
                     self.jobs
                 ));
             }
-            if self.strict && (completed as usize != self.jobs || recovered > 0) {
+            if self.strict && (completed != self.jobs || recovered > 0) {
                 return Err(format!(
                     "planted oracle violated: {completed}/{} completed, {recovered} failsafe \
                      recover(ies)",

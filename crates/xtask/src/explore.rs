@@ -13,6 +13,7 @@
 //! is printed as a minimal replayable action trace.
 
 use aria_model::{Explorer, ModelConfig, Property};
+use crate::flag_value;
 use std::process::ExitCode;
 
 /// Parses the CLI flags and runs the exploration.
@@ -35,21 +36,17 @@ pub fn run(args: &[String]) -> ExitCode {
     }
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
-        let mut number = |what: &str| -> Result<u64, String> {
-            iter.next()
-                .ok_or_else(|| format!("{flag} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{flag} {what}: {e}"))
-        };
         let parsed = match flag.as_str() {
-            "--nodes" => number("nodes").map(|v| config.nodes = v as usize),
-            "--jobs" => number("jobs").map(|v| config.jobs = v as usize),
-            "--seed" => number("seed").map(|v| config.seed = v),
-            "--depth" => number("depth").map(|v| config.max_depth = v as usize),
-            "--states" => number("states").map(|v| config.max_states = v as usize),
-            "--drops" => number("drops").map(|v| config.drops = v as u32),
-            "--dups" => number("dups").map(|v| config.dups = v as u32),
-            "--workers" => number("workers").map(|v| workers = (v as usize).max(1)),
+            "--nodes" => flag_value(flag, "nodes", iter.next()).map(|v| config.nodes = v),
+            "--jobs" => flag_value(flag, "jobs", iter.next()).map(|v| config.jobs = v),
+            "--seed" => flag_value(flag, "seed", iter.next()).map(|v| config.seed = v),
+            "--depth" => flag_value(flag, "depth", iter.next()).map(|v| config.max_depth = v),
+            "--states" => flag_value(flag, "states", iter.next()).map(|v| config.max_states = v),
+            "--drops" => flag_value(flag, "drops", iter.next()).map(|v| config.drops = v),
+            "--dups" => flag_value(flag, "dups", iter.next()).map(|v| config.dups = v),
+            "--workers" => {
+                flag_value(flag, "workers", iter.next()).map(|v: usize| workers = v.max(1))
+            }
             "--no-por" => {
                 config.por = false;
                 Ok(())

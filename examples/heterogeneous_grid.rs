@@ -29,9 +29,8 @@ fn main() {
         })
         .collect();
     println!("sample of node profiles:\n{}", sample.join("\n"));
-    let fcfs = (0..world.topology().len() as u32)
-        .filter(|&i| world.policy_of(NodeId::new(i)) == Policy::Fcfs)
-        .count();
+    let fcfs =
+        world.topology().nodes().filter(|&node| world.policy_of(node) == Policy::Fcfs).count();
     println!("policy split: {fcfs} FCFS / {} SJF\n", world.topology().len() - fcfs);
 
     // Run the same workload with and without dynamic rescheduling.

@@ -67,8 +67,10 @@ fn rescheduling_raises_utilization() {
     // Single seeds are noisy at this scale, so average a few.
     let busy_window = |world: &World| {
         let series = world.metrics().idle_series();
-        let samples = (SimTime::from_hours(10).as_millis()
-            / world.config().sample_period.as_millis()) as usize;
+        let samples = usize::try_from(
+            SimTime::from_hours(10).as_millis() / world.config().sample_period.as_millis(),
+        )
+        .unwrap();
         let values = &series.values()[..samples.min(series.len())];
         values.iter().sum::<f64>() / values.len() as f64
     };

@@ -105,7 +105,7 @@ fn checked_run_survives_crash_churn() {
         world.submit_schedule(&schedule, &mut jobs);
         world.run_checked();
 
-        let completed = world.metrics().completed_count() as usize;
+        let completed = usize::try_from(world.metrics().completed_count()).unwrap();
         let lost = world.lost_jobs().len();
         let abandoned = world.abandoned_jobs().len();
         assert_eq!(

@@ -168,7 +168,7 @@ proptest! {
         );
         world.submit_schedule(&schedule, &mut jobs);
         world.run();
-        let completed = world.metrics().completed_count() as usize;
+        let completed = usize::try_from(world.metrics().completed_count()).unwrap();
         let lost = world.lost_jobs().len();
         let abandoned = world.abandoned_jobs().len();
         prop_assert_eq!(completed + lost + abandoned, 25,
@@ -239,7 +239,7 @@ proptest! {
         world.submit_schedule(&schedule, &mut jobs);
         let audit = world.run_audited();
         prop_assert!(audit.is_ok(), "invariant violated under faults: {:?}", audit);
-        let completed = world.metrics().completed_count() as usize;
+        let completed = usize::try_from(world.metrics().completed_count()).unwrap();
         let lost = world.lost_jobs().len();
         let abandoned = world.abandoned_jobs().len();
         prop_assert_eq!(completed + lost + abandoned, 15,
