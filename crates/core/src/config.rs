@@ -6,14 +6,13 @@ use aria_grid::Policy;
 use aria_overlay::LatencyModel;
 use aria_sim::{SimDuration, SimRng, SimTime};
 use aria_workload::{ArtModel, ClampedNormal};
-use serde::{Deserialize, Serialize};
 
 /// The protocol's reliability-critical timing knobs, factored into one
 /// struct so the simulator ([`AriaConfig`]) and the live node runtime
 /// (`aria-node`'s config) share a single source of defaults — sim and
 /// live cannot silently disagree on offer windows or the ASSIGN-ACK
 /// retransmit schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolTiming {
     /// How long an initiator collects ACCEPT offers before delegating.
     pub accept_window: SimDuration,
@@ -48,7 +47,7 @@ impl Default for ProtocolTiming {
 /// floods use at most 8 hops and 2 neighbors; at most 2 jobs are
 /// advertised every 5 minutes; rescheduling requires a 3-minute
 /// improvement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AriaConfig {
     /// Hop budget for REQUEST floods (paper: 9).
     pub request_hops: u32,
@@ -158,7 +157,7 @@ impl AriaConfig {
 /// The paper's evaluation uses the self-organized BLATANT-S overlay; the
 /// alternatives let the meta-scheduling performance be studied as a
 /// function of the overlay topology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum OverlayKind {
     /// BLATANT-S-style swarm-maintained overlay with the given average
     /// path length bound (the paper's setting; default bound 9).
@@ -184,7 +183,7 @@ pub enum OverlayKind {
 /// Advance-reservation load for a world (paper future work §VI): how
 /// many executor windows each node commits ahead of time, outside the
 /// meta-scheduler's control.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReservationPlan {
     /// Expected number of reservation windows per node over the horizon.
     pub mean_per_node: f64,
@@ -209,7 +208,7 @@ impl ReservationPlan {
 }
 
 /// How local scheduling policies are distributed over the grid's nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PolicyMix {
     /// Every node runs the same policy.
     Uniform(Policy),
@@ -234,7 +233,7 @@ impl PolicyMix {
 }
 
 /// Full configuration of a simulated grid world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// Number of nodes in the initial overlay (paper: 500).
     pub nodes: usize,
@@ -276,12 +275,10 @@ pub struct WorldConfig {
     /// The transport model resolving initiator placement, fanout picks
     /// and latencies ([`NetModel::Sampled`] in every paper scenario;
     /// [`NetModel::Lockstep`] only in exhaustive-exploration worlds).
-    #[serde(default)]
     pub net: NetModel,
     /// Transport fault injection ([`FaultPlan::none`] — i.e. a reliable
     /// network — in every paper scenario; the chaos harness and the
     /// `loss-sweep` study activate it).
-    #[serde(default)]
     pub fault: FaultPlan,
 }
 

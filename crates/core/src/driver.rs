@@ -46,14 +46,13 @@ use aria_grid::{Cost, JobId, JobSpec, NodeProfile, Policy, SchedulerQueue};
 use aria_overlay::NodeId;
 use aria_probe::{FloodKind, MsgKind, ProbeEvent};
 use aria_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Globally unique flood identifier on the live network: the origin node
 /// plus a per-origin sequence number. (The simulator's dense
 /// [`crate::FloodId`] table indexes recycled slots; live floods from
 /// different nodes must never collide, so the id carries its origin.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct FloodUid {
     /// The node that seeded the flood.

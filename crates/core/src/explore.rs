@@ -363,11 +363,6 @@ impl<P: aria_probe::Probe> World<P> {
         self.jobs.slot(job).initiator
     }
 
-    /// The node currently responsible for executing `job`, if assigned.
-    pub fn assignee_of(&self, job: JobId) -> Option<NodeId> {
-        self.jobs.slot(job).assignee
-    }
-
     /// The node whose queue currently holds `job` (waiting or running).
     pub fn holder_of(&self, job: JobId) -> Option<NodeId> {
         self.nodes.iter().enumerate().find_map(|(i, state)| {

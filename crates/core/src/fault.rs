@@ -31,12 +31,11 @@ use aria_grid::JobId;
 use aria_overlay::NodeId;
 use aria_probe::MsgKind;
 use aria_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A scheduled overlay partition: the parity cut opens at `start` and
 /// heals `duration` later.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartitionWindow {
     /// When the cut opens.
     pub start: SimTime,
@@ -53,7 +52,7 @@ impl PartitionWindow {
 }
 
 /// A replayable transport fault schedule (see the module docs).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Per-message loss probability in `[0, 1]`.
     pub loss: f64,

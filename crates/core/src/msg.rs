@@ -3,7 +3,6 @@
 use aria_grid::{Cost, JobId};
 use aria_metrics::TrafficClass;
 use aria_overlay::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one flood (a REQUEST round or one INFORM advertisement).
@@ -15,7 +14,7 @@ use std::fmt;
 /// Flood ids index the world's dense flood table and are recycled once a
 /// flood's last in-flight message lands, so the id space stays as small
 /// as the peak number of concurrent floods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct FloodId(pub u32);
 
@@ -36,7 +35,7 @@ impl fmt::Display for FloodId {
 /// table at submission and ships only the [`JobId`], so a forwarded flood
 /// hop copies a handful of words instead of the whole spec. Traffic
 /// accounting still charges the paper's full message sizes (§V-E).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Message {
     /// REQUEST — `initiator address · job UUID · job profile`.
     ///

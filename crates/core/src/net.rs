@@ -20,11 +20,10 @@
 use aria_grid::JobId;
 use aria_overlay::{LatencyModel, NodeId};
 use aria_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Which network model resolves the protocol's transport choice points
 /// (initiator placement, flood fanout sampling, latencies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetModel {
     /// The paper-faithful randomized transport (default everywhere).
     #[default]

@@ -948,45 +948,17 @@ impl<P: Probe> World<P> {
 
     // --- message handling -----------------------------------------------------
 
-    /// Accounts for a message that will never be processed: a flood copy
-    /// releases its slot's in-flight share, a lost ASSIGN triggers the
-    /// initiator's failsafe (or loses the job outright), a lost ACCEPT is
-    /// simply a missed offer.
+    /// Accounts for a message that will never be processed: the books of
+    /// [`World::drop_in_transit`], after which a flood copy may recycle
+    /// its slot once nothing else is in flight.
     ///
     /// Two callers share these books exactly: [`World::deliver`] when the
     /// recipient crashed while the message was in flight, and the model
     /// checker's `Drop` fault action (`crate::explore`).
     pub(crate) fn lose_message(&mut self, now: SimTime, to: NodeId, msg: Message) {
-        let kind = Self::msg_kind(msg);
-        self.probe.record(now, ProbeEvent::MessageDropped { kind, job: msg.job_id(), to });
-        match msg {
-            Message::Request { flood, .. } | Message::Inform { flood, .. } => {
-                self.floods.get_mut(flood).in_flight -= 1;
-                self.cleanup_flood(flood);
-            }
-            Message::Assign { job, .. } => {
-                if self.jobs.slot(job).assign.is_some() {
-                    // The fault layer's retransmit timer owns recovery of
-                    // this delegation; arming the failsafe here too would
-                    // double-recover the job.
-                    return;
-                }
-                // The delegation evaporates; the initiator's failsafe
-                // will rediscover the job.
-                if self.config.failsafe {
-                    self.events.schedule(
-                        now + self.config.failsafe_detection,
-                        Event::RecoverJob { job },
-                    );
-                } else {
-                    self.probe.record(now, ProbeEvent::JobLost { job });
-                    self.lost.push(job);
-                }
-            }
-            // A lost offer is a missed opportunity; a lost ACK leaves the
-            // retransmit timer armed, and the resulting duplicate ASSIGN
-            // is suppressed and re-acknowledged on arrival.
-            Message::Accept { .. } | Message::Ack { .. } => {}
+        self.drop_in_transit(now, to, msg);
+        if let Message::Request { flood, .. } | Message::Inform { flood, .. } = msg {
+            self.cleanup_flood(flood);
         }
     }
 
@@ -1046,7 +1018,7 @@ impl<P: Probe> World<P> {
                         Message::Request { initiator, job, hops_left: hops_left - 1, flood };
                     self.forward_flood(now, to, forwarded, self.config.aria.request_fanout);
                 }
-                self.flood_departure(flood);
+                self.cleanup_flood(flood);
             }
             Message::Inform { assignee, job, cost, hops_left, flood } => {
                 let fresh = self.flood_arrival(flood, to);
@@ -1093,7 +1065,7 @@ impl<P: Probe> World<P> {
                         Message::Inform { assignee, job, cost, hops_left: hops_left - 1, flood };
                     self.forward_flood(now, to, forwarded, self.config.aria.inform_fanout);
                 }
-                self.flood_departure(flood);
+                self.cleanup_flood(flood);
             }
             Message::Accept { from, job, cost } => self.handle_accept(now, to, from, job, cost),
             Message::Assign { initiator: _, job } => self.handle_assign(now, to, job),
@@ -1615,12 +1587,8 @@ impl<P: Probe> World<P> {
         true
     }
 
-    /// Finishes one message's book-keeping after processing (may recycle
-    /// the flood slot once nothing is in flight).
-    fn flood_departure(&mut self, flood: FloodId) {
-        self.cleanup_flood(flood);
-    }
-
+    /// Finishes a flood message's book-keeping: recycles the slot once
+    /// nothing is in flight.
     fn cleanup_flood(&mut self, flood: FloodId) {
         if self.floods.get(flood).in_flight == 0 {
             self.floods.release(flood);
@@ -1760,11 +1728,15 @@ impl<P: Probe> World<P> {
         true
     }
 
-    /// Books a message copy claimed by the fault layer at send time.
-    /// Mirrors [`World::lose_message`] except floods are *not* recycled
-    /// here: every flood sender ends its loop with a `cleanup_flood`, and
-    /// recycling mid-loop would hand the slot to the caller's next
-    /// in-flight increment.
+    /// Books a message copy that will never be processed: it releases a
+    /// flood copy's in-flight share, a lost ASSIGN triggers the
+    /// initiator's failsafe (or loses the job outright), a lost ACCEPT is
+    /// simply a missed offer.
+    ///
+    /// The fault layer calls this directly for a copy it claims at send
+    /// time, where floods are *not* recycled: every flood sender ends its
+    /// loop with a `cleanup_flood`, and recycling mid-loop would hand the
+    /// slot to the caller's next in-flight increment.
     fn drop_in_transit(&mut self, now: SimTime, to: NodeId, msg: Message) {
         self.probe.record(
             now,
@@ -1776,8 +1748,13 @@ impl<P: Probe> World<P> {
             }
             Message::Assign { job, .. } => {
                 if self.jobs.slot(job).assign.is_some() {
-                    return; // the retransmit timer owns recovery
+                    // The fault layer's retransmit timer owns recovery of
+                    // this delegation; arming the failsafe here too would
+                    // double-recover the job.
+                    return;
                 }
+                // The delegation evaporates; the initiator's failsafe
+                // will rediscover the job.
                 if self.config.failsafe {
                     self.events.schedule(
                         now + self.config.failsafe_detection,
@@ -1788,6 +1765,9 @@ impl<P: Probe> World<P> {
                     self.lost.push(job);
                 }
             }
+            // A lost offer is a missed opportunity; a lost ACK leaves the
+            // retransmit timer armed, and the resulting duplicate ASSIGN
+            // is suppressed and re-acknowledged on arrival.
             Message::Accept { .. } | Message::Ack { .. } => {}
         }
     }

@@ -3,7 +3,6 @@
 use crate::resources::NodeProfile;
 use crate::resources::{Architecture, OperatingSystem};
 use aria_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Grid-wide unique job identifier.
@@ -11,7 +10,7 @@ use std::fmt;
 /// The paper assigns every job a UUID for "univocal tracking across the
 /// grid" (§III-B); inside the simulator a dense 64-bit id provides the
 /// same guarantee at lower cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct JobId(u64);
 
@@ -36,9 +35,7 @@ impl fmt::Display for JobId {
 /// Scheduling priority for the Priority policy (paper future work, §VI).
 ///
 /// Higher values are served first; the default is the lowest priority.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct JobPriority(pub u8);
 
@@ -53,7 +50,7 @@ impl fmt::Display for JobPriority {
 /// Matching follows the paper's evaluation model: architecture and
 /// operating system must be equal, memory and disk must be at least the
 /// requested amount.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRequirements {
     /// Required CPU architecture (exact match).
     pub arch: Architecture,
@@ -93,7 +90,7 @@ impl fmt::Display for JobRequirements {
 /// A complete job description as carried by REQUEST/INFORM/ASSIGN
 /// messages: identifier, resource requirements, the Estimated job Running
 /// Time on baseline hardware, and an optional deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobSpec {
     /// Grid-wide unique identifier.
     pub id: JobId,

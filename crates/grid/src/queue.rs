@@ -5,11 +5,10 @@ use crate::job::{JobId, JobSpec};
 use crate::reservation::{Reservation, ReservationCalendar, ReservationConflict};
 use crate::resources::NodeProfile;
 use aria_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Local scheduling policy (§IV-C plus the future-work extensions of §VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Policy {
     /// First-Come-First-Served: jobs run in arrival (ASSIGN) order.
     Fcfs,
@@ -62,7 +61,7 @@ impl fmt::Display for Policy {
 ///
 /// The paper assumes offers of different kinds are never mixed: batch
 /// schedulers bid with ETTC, deadline schedulers with NAL (§III-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostKind {
     /// Estimated Time To Completion — relative, lower is better.
     Ettc,
@@ -83,7 +82,7 @@ impl fmt::Display for CostKind {
 ///
 /// ETTC costs are non-negative (a relative time to completion); NAL costs
 /// are signed (negative when every queued job meets its deadline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct Cost(i64);
 

@@ -10,13 +10,12 @@
 //! (EASY-style backfill on a single executor).
 
 use aria_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// A committed executor reservation: the half-open window
 /// `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reservation {
     /// First blocked instant.
     pub start: SimTime,
@@ -95,7 +94,7 @@ impl Error for ReservationConflict {}
 /// assert_eq!(calendar.earliest_fit(SimTime::ZERO, SimDuration::from_hours(2)), SimTime::ZERO);
 /// # Ok::<(), aria_grid::ReservationConflict>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReservationCalendar {
     /// Sorted by start, pairwise disjoint.
     windows: Vec<Reservation>,
@@ -174,12 +173,6 @@ impl ReservationCalendar {
             }
         }
         candidate
-    }
-
-    /// Drops windows that ended at or before `t` (bookkeeping hygiene for
-    /// long simulations).
-    pub fn prune_before(&mut self, t: SimTime) {
-        self.windows.retain(|w| w.end > t);
     }
 }
 
@@ -265,17 +258,6 @@ mod tests {
             ReservationCalendar::new().earliest_fit(hours(9), SimDuration::from_hours(100)),
             hours(9)
         );
-    }
-
-    #[test]
-    fn prune_drops_finished_windows() {
-        let mut c = ReservationCalendar::new();
-        c.try_add(window(1, 2)).unwrap();
-        c.try_add(window(3, 4)).unwrap();
-        c.prune_before(hours(2));
-        assert_eq!(c.windows(), [window(3, 4)]);
-        c.prune_before(hours(10));
-        assert!(c.is_empty());
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //! and the performance index relating a node to the ERT baseline.
 
 use aria_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// CPU architecture of a grid node, per the TOP500 list used by the paper
 /// (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over the variants")]
 pub enum Architecture {
     /// x86-64 (87.2 % of the TOP500 distribution used in the paper).
@@ -53,7 +52,7 @@ impl fmt::Display for Architecture {
 
 /// Operating system installed on a grid node, per the TOP500 list used by
 /// the paper (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over the variants")]
 pub enum OperatingSystem {
     /// Linux (88.6 %).
@@ -110,7 +109,7 @@ impl Error for InvalidPerfIndex {}
 /// The index compares the node's computing power to the grid-wide
 /// baseline hardware used to express Estimated Running Times: a job with
 /// estimate `ERT` runs in `ERTp = ERT / p` on this node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfIndex(f64);
 
 impl PerfIndex {
@@ -152,7 +151,7 @@ impl fmt::Display for PerfIndex {
 ///
 /// Memory and disk are in whole gigabytes, as in the paper (both drawn
 /// from {1, 2, 4, 8, 16} GB in the evaluation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeProfile {
     /// CPU architecture.
     pub arch: Architecture,

@@ -35,14 +35,6 @@ impl<'a> Element<'a> {
         self.children.iter().find(|c| c.name == name)
     }
 
-    /// All children with the given local name.
-    pub fn children_named<'s>(
-        &'s self,
-        name: &'s str,
-    ) -> impl Iterator<Item = &'s Element<'a>> + 's {
-        self.children.iter().filter(move |c| c.name == name)
-    }
-
     /// Descends through a path of child names.
     pub fn descend(&self, path: &[&str]) -> Option<&Element<'a>> {
         let mut here = self;
@@ -345,7 +337,7 @@ mod tests {
         assert_eq!(root.name, "a");
         assert_eq!(root.child_text("b"), Some("hello"));
         let c = root.child("c").unwrap();
-        let ds: Vec<&str> = c.children_named("d").map(|d| d.text.as_ref()).collect();
+        let ds: Vec<&str> = c.children.iter().map(|d| d.text.as_ref()).collect();
         assert_eq!(ds, ["1", "2"]);
     }
 

@@ -3,7 +3,6 @@
 
 use crate::record::JobRecord;
 use aria_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregate deadline statistics over a set of completed jobs.
@@ -13,7 +12,7 @@ use std::fmt;
 /// * **lateness** — "the time left from completion to the deadline",
 ///   averaged over successfully met deadlines;
 /// * **missed time** — "time past the deadline", averaged over failures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeadlineStats {
     met: u64,
     missed: u64,
@@ -50,16 +49,6 @@ impl DeadlineStats {
     /// Number of deadlines missed.
     pub fn missed(&self) -> u64 {
         self.missed
-    }
-
-    /// Fraction of deadline jobs that missed (0 when there were none).
-    pub fn miss_rate(&self) -> f64 {
-        let total = self.met + self.missed;
-        if total == 0 {
-            0.0
-        } else {
-            self.missed as f64 / total as f64
-        }
     }
 
     /// Average lateness (slack) of met deadlines.
@@ -124,7 +113,6 @@ mod tests {
         let stats = DeadlineStats::from_records(records.iter());
         assert_eq!(stats.met(), 2);
         assert_eq!(stats.missed(), 1);
-        assert!((stats.miss_rate() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(stats.avg_lateness(), SimDuration::from_mins(70));
         assert_eq!(stats.avg_missed_time(), SimDuration::from_mins(50));
     }
@@ -134,7 +122,6 @@ mod tests {
         let stats = DeadlineStats::from_records([].iter());
         assert_eq!(stats.met(), 0);
         assert_eq!(stats.missed(), 0);
-        assert_eq!(stats.miss_rate(), 0.0);
         assert_eq!(stats.avg_lateness(), SimDuration::ZERO);
         assert_eq!(stats.avg_missed_time(), SimDuration::ZERO);
     }

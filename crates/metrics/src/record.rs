@@ -2,14 +2,13 @@
 
 use aria_grid::{JobId, JobSpec};
 use aria_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The observable life cycle of one job, from submission to completion.
 ///
 /// All of the paper's per-job metrics derive from this record: waiting
 /// time and execution time (Figure 2), completion time (Figures 7, 8, 9)
 /// and deadline lateness (Figure 4).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobRecord {
     /// The job's id.
     pub id: JobId,
@@ -80,11 +79,6 @@ impl JobRecord {
     pub fn deadline_slack(&self) -> Option<i64> {
         Some(self.deadline?.signed_delta(self.completed_at?))
     }
-
-    /// Whether the job missed its deadline (false for batch jobs).
-    pub fn missed_deadline(&self) -> bool {
-        self.deadline_slack().is_some_and(|slack| slack < 0)
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +112,6 @@ mod tests {
         assert_eq!(r.execution_time(), None);
         assert_eq!(r.completion_time(), None);
         assert_eq!(r.deadline_slack(), None);
-        assert!(!r.missed_deadline());
     }
 
     #[test]
@@ -138,20 +131,17 @@ mod tests {
     fn met_deadline_has_positive_slack() {
         let r = completed_record(Some(SimTime::from_mins(200)), SimTime::from_mins(160));
         assert_eq!(r.deadline_slack(), Some(40 * 60_000));
-        assert!(!r.missed_deadline());
     }
 
     #[test]
     fn missed_deadline_has_negative_slack() {
         let r = completed_record(Some(SimTime::from_mins(100)), SimTime::from_mins(160));
         assert_eq!(r.deadline_slack(), Some(-60 * 60_000));
-        assert!(r.missed_deadline());
     }
 
     #[test]
     fn batch_jobs_never_miss() {
         let r = completed_record(None, SimTime::from_mins(160));
         assert_eq!(r.deadline_slack(), None);
-        assert!(!r.missed_deadline());
     }
 }

@@ -1,11 +1,10 @@
 //! Per-message-type traffic accounting (§V-E, Figure 10).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
 /// The four ARiA message types, for traffic classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// REQUEST — job discovery flood.
     Request,
@@ -57,7 +56,7 @@ impl fmt::Display for TrafficClass {
 /// assert_eq!(ledger.bytes(TrafficClass::Request), 1024);
 /// assert_eq!(ledger.total_bytes(), 1024 + 128);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficLedger {
     counts: [u64; 4],
 }

@@ -2,7 +2,6 @@
 //! round-trip delays", §IV-A).
 
 use aria_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// Samples one-way link latencies.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let one_way = model.sample(&mut rng);
 /// assert!(one_way >= model.min() && one_way <= model.max());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     min_ms: u64,
     max_ms: u64,

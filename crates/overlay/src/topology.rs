@@ -2,14 +2,11 @@
 //! graph measurements quoted by the paper (average path length, degree).
 
 use aria_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of an overlay node (dense, assigned in creation order).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct NodeId(u32);
 

@@ -6,10 +6,9 @@
 //! the probe is a ring recorder or the no-op [`NullProbe`].
 //!
 //! Every kind is declared once, in the `probe_events!` table below: its
-//! variant, wire name, the schema version that introduced it, and its
-//! fields in wire order. The table generates the enum, [`ProbeEvent::kind`],
-//! [`ProbeEvent::since`] and the per-kind JSONL writer and reader that
-//! [`crate::schema`] drives. A field's wire key is its name, unless the
+//! variant, wire name and fields in wire order. The table generates the
+//! enum, [`ProbeEvent::kind`] and the per-kind JSONL writer and reader
+//! that [`crate::schema`] drives. A field's wire key is its name, unless the
 //! row renames it (`kind as flood_kind`).
 //!
 //! [`Probe`]: crate::Probe
@@ -78,8 +77,7 @@ named_enum! {
         Inform = "inform",
         /// ASSIGN delegation.
         Assign = "assign",
-        /// ACK delivery acknowledgement (fault-layer ASSIGN hardening;
-        /// schema v2).
+        /// ACK delivery acknowledgement (fault-layer ASSIGN hardening).
         Ack = "ack",
     }
 }
@@ -91,11 +89,11 @@ macro_rules! wire_key {
 }
 
 /// Generates [`ProbeEvent`] and its schema plumbing from one row per
-/// kind: `Variant "wire-name" since { field [as key]: Type, … }`.
+/// kind: `Variant "wire-name" { field [as key]: Type, … }`.
 macro_rules! probe_events {
     ($(
         $(#[$vmeta:meta])*
-        $variant:ident $wire:literal $since:literal {
+        $variant:ident $wire:literal {
             $($(#[$fmeta:meta])* $field:ident $(as $key:ident)?: $ty:ty,)*
         }
     )*) => {
@@ -119,12 +117,6 @@ macro_rules! probe_events {
             /// Stable schema name of this event kind (the JSONL `"kind"`).
             pub const fn kind(&self) -> &'static str {
                 match self { $(ProbeEvent::$variant { .. } => $wire,)* }
-            }
-
-            /// The schema version that introduced this kind: a trace
-            /// stamped with an older version cannot carry it.
-            pub const fn since(&self) -> u64 {
-                match self { $(ProbeEvent::$variant { .. } => $since,)* }
             }
 
             /// Appends this event's fields, in wire order, to a trace line.
@@ -155,7 +147,7 @@ macro_rules! probe_events {
 
 probe_events! {
     /// A job entered the grid at its initiator (§III-B).
-    JobSubmitted "job-submitted" 1 {
+    JobSubmitted "job-submitted" {
         /// The submitted job.
         job: JobId,
         /// The node it was submitted to.
@@ -163,7 +155,7 @@ probe_events! {
     }
     /// The initiator opened a REQUEST round: a fresh flood was seeded and
     /// the offer window scheduled.
-    RequestRound "request-round" 1 {
+    RequestRound "request-round" {
         /// The advertised job.
         job: JobId,
         /// The flooding initiator.
@@ -176,7 +168,7 @@ probe_events! {
         seeds: u32,
     }
     /// A flood hop arrived at a node (REQUEST or INFORM).
-    FloodHop "flood-hop" 1 {
+    FloodHop "flood-hop" {
         /// REQUEST or INFORM flood.
         kind as flood_kind: FloodKind,
         /// The advertised job.
@@ -191,7 +183,7 @@ probe_events! {
         duplicate: bool,
     }
     /// A node answered a flood with an ACCEPT cost offer (§III-C).
-    BidSent "bid-sent" 1 {
+    BidSent "bid-sent" {
         /// Flood kind the bid answers.
         kind as flood_kind: FloodKind,
         /// The job being bid on.
@@ -204,7 +196,7 @@ probe_events! {
         cost_ms: i64,
     }
     /// An ACCEPT landed inside an open offer window at the initiator.
-    OfferReceived "offer-received" 1 {
+    OfferReceived "offer-received" {
         /// The job the offer concerns.
         job: JobId,
         /// The collecting initiator.
@@ -218,7 +210,7 @@ probe_events! {
     }
     /// A job was delegated with ASSIGN — initial assignment when
     /// `reschedule` is false, an INFORM-triggered steal otherwise.
-    Assigned "assigned" 1 {
+    Assigned "assigned" {
         /// The delegated job.
         job: JobId,
         /// The assigning node (initiator, or current holder on a steal).
@@ -230,7 +222,7 @@ probe_events! {
         reschedule: bool,
     }
     /// An offer window closed empty; a fresh REQUEST round was scheduled.
-    RetryScheduled "retry-scheduled" 1 {
+    RetryScheduled "retry-scheduled" {
         /// The unplaced job.
         job: JobId,
         /// The retrying initiator.
@@ -239,14 +231,14 @@ probe_events! {
         round: u32,
     }
     /// The initiator gave up on a job after exhausting its retry budget.
-    JobAbandoned "job-abandoned" 1 {
+    JobAbandoned "job-abandoned" {
         /// The abandoned job.
         job: JobId,
         /// The abandoning initiator.
         initiator: NodeId,
     }
     /// A job entered a node's scheduler queue.
-    Enqueued "enqueued" 1 {
+    Enqueued "enqueued" {
         /// The queued job.
         job: JobId,
         /// The executing node.
@@ -255,21 +247,21 @@ probe_events! {
         depth: u32,
     }
     /// A job left the waiting queue and began executing.
-    Started "started" 1 {
+    Started "started" {
         /// The started job.
         job: JobId,
         /// The executing node.
         node: NodeId,
     }
     /// A job finished executing.
-    Completed "completed" 1 {
+    Completed "completed" {
         /// The finished job.
         job: JobId,
         /// The executing node.
         node: NodeId,
     }
     /// A waiting job's assignee flooded an INFORM advertisement (§III-D).
-    InformRound "inform-round" 1 {
+    InformRound "inform-round" {
         /// The advertised job.
         job: JobId,
         /// The current assignee.
@@ -280,12 +272,12 @@ probe_events! {
         cost_ms: i64,
     }
     /// A node joined the overlay mid-run (§V-D churn).
-    NodeJoined "node-joined" 1 {
+    NodeJoined "node-joined" {
         /// The new node.
         node: NodeId,
     }
     /// A node crashed, dropping its queue and in-flight work.
-    NodeCrashed "node-crashed" 1 {
+    NodeCrashed "node-crashed" {
         /// The crashed node.
         node: NodeId,
         /// Jobs resident on the node at crash time.
@@ -293,20 +285,20 @@ probe_events! {
     }
     /// The failsafe initiator noticed a dead assignee and re-advertised
     /// the job (§III-E).
-    RecoveryStarted "recovery-started" 1 {
+    RecoveryStarted "recovery-started" {
         /// The recovered job.
         job: JobId,
         /// The initiator running the failsafe.
         initiator: NodeId,
     }
     /// A job was lost for good (dead initiator, failsafe disabled, …).
-    JobLost "job-lost" 1 {
+    JobLost "job-lost" {
         /// The lost job.
         job: JobId,
     }
     /// A message addressed to a crashed node — or claimed by the fault
     /// layer (loss, open partition cut) — was dropped by the transport.
-    MessageDropped "message-dropped" 1 {
+    MessageDropped "message-dropped" {
         /// Wire class of the dropped message.
         kind as msg_kind: MsgKind,
         /// The job the message concerned.
@@ -316,7 +308,7 @@ probe_events! {
     }
     /// An unacknowledged ASSIGN was retransmitted by the fault-layer
     /// hardening.
-    AssignRetransmit "assign-retransmit" 2 {
+    AssignRetransmit "assign-retransmit" {
         /// The job whose ASSIGN went unacknowledged.
         job: JobId,
         /// The assignee being retried.
@@ -326,7 +318,7 @@ probe_events! {
     }
     /// An assignee's ACK reached the assigner; the retransmit timer is
     /// disarmed.
-    AckReceived "ack-received" 2 {
+    AckReceived "ack-received" {
         /// The acknowledged job.
         job: JobId,
         /// The acknowledging assignee.
@@ -336,7 +328,7 @@ probe_events! {
     /// re-applied. Flood duplicates keep reporting through
     /// [`ProbeEvent::FloodHop`] `duplicate`; this covers the
     /// point-to-point kinds.
-    DuplicateSuppressed "duplicate-suppressed" 2 {
+    DuplicateSuppressed "duplicate-suppressed" {
         /// Wire class of the suppressed duplicate.
         kind as msg_kind: MsgKind,
         /// The job the duplicate concerned.
@@ -345,12 +337,12 @@ probe_events! {
         node: NodeId,
     }
     /// A scheduled overlay partition window opened.
-    PartitionStarted "partition-started" 2 {
+    PartitionStarted "partition-started" {
         /// Index of the window in the fault plan.
         window: u32,
     }
     /// A scheduled overlay partition window healed.
-    PartitionHealed "partition-healed" 2 {
+    PartitionHealed "partition-healed" {
         /// Index of the window in the fault plan.
         window: u32,
     }
@@ -358,7 +350,7 @@ probe_events! {
     ///
     /// Suspicion is telemetry-only: the peer stays in fan-out sampling
     /// and bid candidacy until it is declared dead.
-    PeerSuspected "peer-suspected" 4 {
+    PeerSuspected "peer-suspected" {
         /// The silent peer.
         peer: NodeId,
         /// The node whose detector raised the suspicion.
@@ -366,7 +358,7 @@ probe_events! {
     }
     /// A failure detector declared a peer dead: excluded from fan-out and
     /// assignment, delegations to it recovered.
-    PeerDead "peer-dead" 4 {
+    PeerDead "peer-dead" {
         /// The dead peer.
         peer: NodeId,
         /// The node whose detector declared it.
@@ -374,7 +366,7 @@ probe_events! {
     }
     /// A previously dead peer came back (restart or partition heal) and
     /// re-entered live membership.
-    PeerRejoined "peer-rejoined" 4 {
+    PeerRejoined "peer-rejoined" {
         /// The returning peer.
         peer: NodeId,
         /// The node whose detector readmitted it.
@@ -382,10 +374,9 @@ probe_events! {
     }
     /// Periodic world sample: node occupancy and event-queue pressure.
     ///
-    /// All four gauges are u64 since schema v3: at 100k+ node scales the
-    /// queued-job and event-queue counts overflow the u32s they were
-    /// first recorded as.
-    Gauge "gauge" 1 {
+    /// All four gauges are u64: at 100k+ node scales the queued-job and
+    /// event-queue counts overflow a u32.
+    Gauge "gauge" {
         /// Nodes with an empty scheduler.
         idle: u64,
         /// Jobs waiting in scheduler queues, grid-wide.

@@ -9,8 +9,8 @@
 //!   `{"seq":…,"t_ms":…,"kind":"…", <kind-specific integer/bool/string
 //!   fields>}`
 //!
-//! Which kinds exist, their fields and the version that introduced each
-//! are declared once, in the event table of [`crate::event`]; this module
+//! Which kinds exist and their fields are declared once, in the event
+//! table of [`crate::event`]; this module
 //! holds only what every kind shares: the header, escaping, the
 //! flat-object cursor, [`validate`] and [`from_jsonl`].
 //!
@@ -19,20 +19,21 @@
 //! [`SCHEMA_VERSION`] is bumped on any breaking change (field renamed or
 //! removed, meaning changed, kind renamed) and on every new kind: readers
 //! ignore unknown *fields* but reject unknown *kinds*. Writers stamp the
-//! current version; readers accept it and every earlier one, reject newer
-//! versions rather than guessing, and reject an event whose kind is newer
-//! than its header ([`ProbeEvent::since`]). History: v1 — the original 18
-//! kinds; v2 — the fault-layer kinds and the `ack` message kind; v3 —
-//! `gauge` fields widened from u32 to u64 (same wire form, values above
-//! `u32::MAX` at 100k+ nodes); v4 — the live-membership kinds.
+//! current version and readers accept exactly that version, rejecting any
+//! other at the header rather than guessing. Adding a kind is one row in
+//! the event table plus a bump of [`SCHEMA_VERSION`]; a reader built
+//! before the bump then refuses the whole file. History: v1 — the
+//! original 18 kinds; v2 — the fault-layer kinds and the `ack` message
+//! kind; v3 — `gauge` fields widened from u32 to u64; v4 — the
+//! live-membership kinds. Nothing in the workspace writes or keeps a
+//! trace of an older version, so there is no reader for one.
 //!
 //! The schema is deliberately integer/bool/string-only (sim-time in
 //! milliseconds, costs in scheduler-cost milliseconds) so traces diff
 //! bit-for-bit and no float formatting ambiguity exists.
 //!
-//! The dependency-free writer/parser pair below exists because the
-//! workspace builds offline: the vendored `serde` is a no-op derive
-//! stub, so JSON is emitted and consumed by hand.
+//! The writer/parser pair below is hand-written and dependency-free:
+//! the workspace builds offline, with no JSON crate.
 
 use crate::event::ProbeEvent;
 use crate::record::{Trace, TraceEntry, TraceMeta};
@@ -430,8 +431,8 @@ pub fn validate(trace: &Trace) -> Result<(), SchemaError> {
 /// Parses and validates a JSONL trace produced by [`to_jsonl`].
 ///
 /// Unknown *fields* are ignored (additive schema evolution); unknown
-/// *kinds*, kinds newer than the header's version, duplicate keys and
-/// version mismatches are errors.
+/// *kinds*, duplicate keys and any version other than [`SCHEMA_VERSION`]
+/// are errors.
 pub fn from_jsonl(text: &str) -> Result<Trace, SchemaError> {
     let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
     let (header_idx, header_text) =
@@ -442,9 +443,9 @@ pub fn from_jsonl(text: &str) -> Result<Trace, SchemaError> {
         return Err(header.error(format!("unknown schema \"{schema}\"")));
     }
     let version: u64 = header.get("version")?;
-    if !(1..=SCHEMA_VERSION).contains(&version) {
+    if version != SCHEMA_VERSION {
         return Err(header.error(format!(
-            "unsupported schema version {version} (reader supports 1..={SCHEMA_VERSION})"
+            "unsupported schema version {version} (reader supports {SCHEMA_VERSION})"
         )));
     }
     let meta = TraceMeta {
@@ -461,14 +462,7 @@ pub fn from_jsonl(text: &str) -> Result<Trace, SchemaError> {
         let f = Fields::parse(line, idx + 1)?;
         let seq = f.get("seq")?;
         let at = SimTime::from_millis(f.get("t_ms")?);
-        let kind = f.text("kind")?;
-        let event = ProbeEvent::read_fields(kind, &f)?;
-        if event.since() > version {
-            return Err(f.error(format!(
-                "kind \"{kind}\" is schema v{} but the header declares v{version}",
-                event.since()
-            )));
-        }
+        let event = ProbeEvent::read_fields(f.text("kind")?, &f)?;
         entries.push(TraceEntry { seq, at, event });
     }
     if entries.len() as u64 != declared_events {
@@ -587,11 +581,39 @@ mod tests {
         assert_eq!((text.len(), fnv1a(text.as_bytes())), (2081, 0x70e7_d1d5_c3d7_6215));
     }
 
+    /// Round-trips the sample's events of the given kinds on their own.
+    fn kinds_roundtrip(kinds: &[&str]) {
+        let mut trace = every_kind();
+        trace.entries.retain(|e| kinds.contains(&e.event.kind()));
+        let kept: Vec<&str> = trace.entries.iter().map(|e| e.event.kind()).collect();
+        assert_eq!(kept, kinds);
+        assert_eq!(from_jsonl(&to_jsonl(&trace)).expect("parse"), trace);
+    }
+
     #[test]
-    fn since_versions_follow_the_history() {
-        let count = |v: u64| every_kind().entries.iter().filter(|e| e.event.since() == v).count();
-        assert_eq!([count(1), count(2), count(3), count(4)], [18, 5, 0, 3]);
-        assert!(every_kind().entries.iter().all(|e| e.event.since() <= SCHEMA_VERSION));
+    fn v2_fault_kinds_roundtrip() {
+        kinds_roundtrip(&[
+            "assign-retransmit",
+            "ack-received",
+            "duplicate-suppressed",
+            "partition-started",
+            "partition-healed",
+        ]);
+    }
+
+    #[test]
+    fn v4_membership_kinds_roundtrip() {
+        kinds_roundtrip(&["peer-suspected", "peer-dead", "peer-rejoined"]);
+    }
+
+    #[test]
+    fn kinds_newer_than_the_header_are_rejected() {
+        // A v3 stamp on a trace holding v4 kinds is refused at the
+        // header, before any of its events is read.
+        let text = to_jsonl(&every_kind()).replacen("\"version\":4", "\"version\":3", 1);
+        let e = from_jsonl(&text).unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        assert!(e.message.contains("unsupported schema version 3"), "{e}");
     }
 
     #[test]
@@ -603,68 +625,10 @@ mod tests {
         assert!(header.contains("\"events\":6"));
     }
 
-    /// A trace stamped `version` that carries every kind of that version
-    /// must keep parsing under the current reader.
-    fn own_kinds_validate_at(version: u64) {
-        let mut trace = every_kind();
-        trace.entries.retain(|e| e.event.since() <= version);
-        let text = to_jsonl(&trace).replacen("\"version\":4", &format!("\"version\":{version}"), 1);
-        let back = from_jsonl(&text).unwrap_or_else(|e| panic!("v{version} rejected: {e}"));
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn v1_traces_still_validate() {
-        own_kinds_validate_at(1);
-    }
-
-    #[test]
-    fn v2_traces_still_validate() {
-        own_kinds_validate_at(2);
-    }
-
-    #[test]
-    fn v3_traces_still_validate() {
-        own_kinds_validate_at(3);
-    }
-
-    /// Round-trips the kinds that schema `version` introduced and names them.
-    fn kinds_introduced_in(version: u64) -> Vec<&'static str> {
-        let mut trace = every_kind();
-        trace.entries.retain(|e| e.event.since() == version);
-        assert_eq!(from_jsonl(&to_jsonl(&trace)).expect("parse"), trace);
-        trace.entries.iter().map(|e| e.event.kind()).collect()
-    }
-
-    #[test]
-    fn v2_fault_kinds_roundtrip() {
-        assert_eq!(kinds_introduced_in(2), [
-            "assign-retransmit",
-            "ack-received",
-            "duplicate-suppressed",
-            "partition-started",
-            "partition-healed",
-        ]);
-    }
-
-    #[test]
-    fn v4_membership_kinds_roundtrip() {
-        assert_eq!(kinds_introduced_in(4), ["peer-suspected", "peer-dead", "peer-rejoined"]);
-    }
-
-    #[test]
-    fn kinds_newer_than_the_header_are_rejected() {
-        let text = to_jsonl(&every_kind()).replacen("\"version\":4", "\"version\":3", 1);
-        let e = from_jsonl(&text).unwrap_err();
-        assert_eq!(e.line, 24, "the first v4 kind, peer-suspected, is event 23");
-        assert!(e.message.contains("\"peer-suspected\" is schema v4"), "{e}");
-        assert!(e.message.contains("declares v3"), "{e}");
-    }
-
     #[test]
     fn gauge_values_above_u32_survive() {
-        // The v3 widening: gauges beyond u32::MAX round-trip exactly
-        // instead of truncating (the 100k-node regime).
+        // Gauges beyond u32::MAX round-trip exactly instead of
+        // truncating (the 100k-node regime).
         let big = u64::from(u32::MAX) + 17;
         let trace = trace_of("scale", vec![ProbeEvent::Gauge {
             idle: 100_000,
@@ -703,14 +667,16 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        // Future versions are rejected (the reader will not guess)...
-        let text = to_jsonl(&sample_trace()).replace("\"version\":4", "\"version\":99");
-        let e = from_jsonl(&text).unwrap_err();
-        assert!(e.message.contains("unsupported schema version"), "{e}");
-        // ...and so is the nonsense version 0.
-        let text = to_jsonl(&sample_trace()).replace("\"version\":4", "\"version\":0");
-        let e = from_jsonl(&text).unwrap_err();
-        assert!(e.message.contains("unsupported schema version"), "{e}");
+        // Only the current version is read: the previous and the next
+        // stamp are refused at the header like nonsense ones, whatever
+        // kinds follow.
+        for version in [0, 3, 5, 99] {
+            let text =
+                to_jsonl(&sample_trace()).replace("\"version\":4", &format!("\"version\":{version}"));
+            let e = from_jsonl(&text).unwrap_err();
+            assert_eq!(e.line, 1, "{e}");
+            assert!(e.message.contains(&format!("unsupported schema version {version}")), "{e}");
+        }
     }
 
     #[test]

@@ -4,14 +4,13 @@ use aria_core::{AriaConfig, PolicyMix, WorldConfig};
 use aria_grid::Policy;
 use aria_sim::SimDuration;
 use aria_workload::{ArtModel, JobGeneratorConfig, SubmissionSchedule};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the paper's 26 evaluation scenarios (Table II).
 ///
 /// By the paper's naming convention, scenarios whose name starts with `i`
 /// have dynamic rescheduling enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs, reason = "the variants are the paper's scenario names")]
 pub enum Scenario {
     Fcfs,

@@ -153,11 +153,6 @@ impl ScenarioResult {
     pub fn avg_completion_p95(&self) -> f64 {
         self.avg_over_runs(|r| r.completion_p95)
     }
-
-    /// Average completed jobs per run.
-    pub fn avg_completed(&self) -> f64 {
-        self.avg_over_runs(|r| r.completed as f64)
-    }
 }
 
 /// Executes scenarios across seeds.
@@ -418,7 +413,6 @@ mod tests {
         assert_eq!(result.runs[0].seed, 1);
         assert_eq!(result.runs[1].seed, 2);
         assert_eq!(result.completion().count(), 30);
-        assert_eq!(result.avg_completed(), 15.0);
         let avg = result.avg_completed_series();
         assert!(!avg.is_empty());
         assert_eq!(*avg.values().last().unwrap(), 15.0);

@@ -6,7 +6,6 @@
 //! time strictly separated from wall-clock time and makes saturating
 //! semantics explicit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -21,7 +20,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(t.as_secs(), 5400);
 /// assert_eq!(format!("{t}"), "1h30m00s");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct SimTime(u64);
 
@@ -30,7 +29,7 @@ pub struct SimTime(u64);
 /// Durations are non-negative; subtraction saturates at zero. Use
 /// [`SimTime::signed_delta`] when a signed difference (e.g. lateness) is
 /// required.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[allow(clippy::disallowed_methods, reason = "derived PartialOrd over integers, not floats")]
 pub struct SimDuration(u64);
 

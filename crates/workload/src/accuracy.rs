@@ -11,10 +11,9 @@
 //! estimate is then always lower than reality, *AccuracyBad*).
 
 use aria_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// How the Actual Running Time deviates from the estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArtModel {
     /// The estimate is perfect (`ε = 0`; *Precise* scenarios).
     Exact,

@@ -2,11 +2,10 @@
 
 use aria_grid::{Architecture, OperatingSystem};
 use aria_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// The TOP500-derived categorical distributions used for both node
 /// profiles and job requirements (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CategoricalField;
 
 impl CategoricalField {
@@ -32,7 +31,7 @@ impl CategoricalField {
 
 /// Memory/disk capacities: independently and uniformly one of
 /// {1, 2, 4, 8, 16} GB (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CapacityDistribution;
 
 impl CapacityDistribution {
@@ -50,7 +49,7 @@ impl CapacityDistribution {
 ///
 /// Clamping (rather than rejection) follows the paper's wording of using
 /// "a lower bound of 1h and an upper bound of 4h to avoid extreme cases".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClampedNormal {
     /// Mean of the underlying normal.
     pub mean: SimDuration,

@@ -3,10 +3,9 @@
 use crate::distributions::{CapacityDistribution, CategoricalField, ClampedNormal};
 use aria_grid::{JobId, JobRequirements, JobSpec, NodeProfile};
 use aria_sim::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the random job generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobGeneratorConfig {
     /// ERT distribution (the paper's `N(2h30m, 1h15m)` in `[1h, 4h]`).
     pub ert: ClampedNormal,

@@ -3,7 +3,6 @@
 use crate::distributions::{CapacityDistribution, CategoricalField};
 use aria_grid::{NodeProfile, PerfIndex};
 use aria_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Generates heterogeneous node profiles with the paper's distributions:
 /// TOP500 architectures and operating systems, uniform memory/disk over
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let profile = ProfileGenerator::paper().generate(&mut rng);
 /// assert!(profile.performance.value() >= 1.0 && profile.performance.value() <= 2.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProfileGenerator;
 
 impl ProfileGenerator {

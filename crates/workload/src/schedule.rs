@@ -1,7 +1,6 @@
 //! Fixed-rate job submission schedules (§IV-E).
 
 use aria_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A fixed-interval submission process: `count` jobs, the first at
 /// `start`, one every `interval` after that.
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// // Last submission: 20m + 999 * 10s  ≈ 3h06m30s.
 /// assert_eq!(schedule.last_time().as_secs(), 20 * 60 + 999 * 10);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubmissionSchedule {
     start: SimTime,
     interval: SimDuration,
