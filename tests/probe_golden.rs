@@ -16,8 +16,13 @@
 //! The exported bytes themselves are pinned too, and corrupted copies of
 //! the export must fail with a `SchemaError`, never a panic.
 
-use aria_probe::{first_divergence, lifecycles, schema, summarize, Trace};
+use aria_core::{FaultPlan, PartitionWindow};
+use aria_probe::{
+    first_divergence, lifecycles, schema, summarize, MsgKind, ProbeEvent, RingRecorder, Trace,
+    TraceMeta,
+};
 use aria_scenarios::{Runner, RunStats, Scenario};
+use aria_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -70,6 +75,38 @@ fn probed_run_exports_schema_valid_jsonl_with_complete_lifecycles() {
     assert_eq!(summary.events, trace.entries.len() as u64);
     assert!(summary.request_rounds >= trace.meta.jobs, "each job opens at least one round");
     assert!(summary.offers > 0, "an iMixed run must collect ACCEPT offers");
+}
+
+/// A traced scaled iMixed run on a faulty transport (loss, duplicates,
+/// jitter, one partition window) with two node crashes. The JSONL bytes
+/// are pinned, and the trace must reach the ASSIGN retransmit ladder,
+/// dropped ASSIGNs, failsafe recovery and lost jobs.
+#[test]
+fn faulty_run_exports_pinned_jsonl_through_every_failure_path() {
+    let runner = Runner::scaled(30, 15);
+    let mut config = runner.config_for(Scenario::IMixed);
+    config.fault = FaultPlan {
+        loss: 0.4,
+        duplicate: 0.05,
+        jitter_ms: 800,
+        partitions: vec![PartitionWindow {
+            start: SimTime::from_mins(21),
+            duration: SimDuration::from_mins(3),
+        }],
+        keep: None,
+    };
+    config.crashes = vec![SimTime::from_secs(1330), SimTime::from_mins(60)];
+    let (_, world) = runner.run_config(Scenario::IMixed, config, 12, false, RingRecorder::default());
+    let meta = TraceMeta { scenario: Scenario::IMixed.to_string(), seed: 12, nodes: 30, jobs: 15 };
+    let trace = world.into_probe().into_trace(meta);
+    assert_eq!(trace.dropped, 0, "a scaled run must fit the default ring");
+    let saw = |want: fn(&ProbeEvent) -> bool| trace.entries.iter().any(|e| want(&e.event));
+    assert!(saw(|e| matches!(e, ProbeEvent::AssignRetransmit { .. })));
+    assert!(saw(|e| matches!(e, ProbeEvent::MessageDropped { kind: MsgKind::Assign, .. })));
+    assert!(saw(|e| matches!(e, ProbeEvent::RecoveryStarted { .. })));
+    assert!(saw(|e| matches!(e, ProbeEvent::JobLost { .. })));
+    let text = schema::to_jsonl(&trace);
+    assert_eq!((text.len(), fnv1a(text.as_bytes())), (196_649, 0x6bbc_e1ef_f68c_c370));
 }
 
 #[test]
