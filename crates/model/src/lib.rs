@@ -130,7 +130,7 @@ impl ModelConfig {
         config.art = ArtModel::Exact;
         config.policies = PolicyMix::Uniform(Policy::Fcfs);
         config.aria.rescheduling = self.rescheduling;
-        config.aria.max_request_rounds = 2;
+        config.aria.timing.max_request_rounds = 2;
         // A short horizon keeps the periodic chains (gauge samples,
         // INFORM ticks) finite and small.
         config.horizon = SimTime::from_mins(30);

@@ -27,14 +27,13 @@
 //! `peer-dead` (and, with restarts, `peer-rejoined`) probe events in
 //! the merged trace.
 
-use aria_core::config::ProtocolTiming;
-use aria_core::driver::{DriverConfig, MembershipConfig};
-use aria_core::AriaConfig;
 use aria_grid::{
     Architecture, JobId, JobRequirements, JobSpec, NodeProfile, OperatingSystem, PerfIndex,
     Policy,
 };
-use aria_node::cluster::{liveness_bound, run_cluster, ChurnAction, ChurnEvent, ClusterSpec};
+use aria_node::cluster::{
+    live_timing, liveness_bound, run_cluster, ChurnAction, ChurnEvent, ClusterSpec,
+};
 use aria_sim::SimDuration;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -162,30 +161,6 @@ fn workload(jobs: u64, ert_ms: u64) -> Vec<JobSpec> {
             JobSpec::batch(JobId::new(i), requirements, ert)
         })
         .collect()
-}
-
-/// Protocol timing tightened from the paper's simulation timescale to a
-/// live loopback one — shape preserved, constants scaled. The failure
-/// detector matches: suspect after 1.5 s of silence, dead after 4 s.
-fn live_timing() -> DriverConfig {
-    let mut aria = AriaConfig::default().with_timing(ProtocolTiming {
-        accept_window: SimDuration::from_millis(300),
-        request_retry: SimDuration::from_millis(1000),
-        max_request_rounds: 50,
-        assign_ack_timeout: SimDuration::from_millis(200),
-        assign_max_retries: 4,
-    });
-    aria.inform_period = SimDuration::from_millis(2000);
-    DriverConfig {
-        aria,
-        failsafe: true,
-        failsafe_detection: SimDuration::from_millis(3000),
-        membership: MembershipConfig {
-            heartbeat_period: SimDuration::from_millis(500),
-            suspect_misses: 3,
-            dead_misses: 8,
-        },
-    }
 }
 
 fn main() {

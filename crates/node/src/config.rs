@@ -303,7 +303,7 @@ impl NodeConfig {
         if self.drop_first_assign {
             out.push_str("drop_first_assign = true\n");
         }
-        let t = self.driver.aria.timing();
+        let t = self.driver.aria.timing;
         out.push_str("\n[timing]\n");
         out.push_str(&format!("accept_window_ms = {}\n", t.accept_window.as_millis()));
         out.push_str(&format!("request_retry_ms = {}\n", t.request_retry.as_millis()));
@@ -522,7 +522,7 @@ inform_period_ms = 2000
         assert!(config.drop_first_assign);
         assert!((config.loss - 0.05).abs() < 1e-9);
         // Overridden timing lands; untouched knobs keep their defaults.
-        let t = config.driver.aria.timing();
+        let t = config.driver.aria.timing;
         assert_eq!(t.accept_window, SimDuration::from_millis(300));
         assert_eq!(t.assign_ack_timeout, SimDuration::from_millis(200));
         assert_eq!(t.request_retry, ProtocolTiming::default().request_retry);

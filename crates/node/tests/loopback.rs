@@ -7,41 +7,15 @@
 //! This is the live counterpart of the simulator's job-conservation
 //! oracle: same probe schema, same merged-trace validation, real I/O.
 
-use aria_core::config::ProtocolTiming;
-use aria_core::driver::{DriverConfig, MembershipConfig};
-use aria_core::AriaConfig;
 use aria_grid::{
     Architecture, JobId, JobRequirements, JobSpec, NodeProfile, OperatingSystem, PerfIndex,
     Policy,
 };
-use aria_node::cluster::{run_cluster, ClusterSpec};
+use aria_node::cluster::{live_timing, run_cluster, ClusterSpec};
 use aria_probe::{schema, ProbeEvent};
 use aria_sim::SimDuration;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Tight live timing: the paper's simulation constants shrunk to a
-/// loopback timescale so the whole run fits in a few wall-clock seconds.
-fn live_timing() -> DriverConfig {
-    let mut aria = AriaConfig::default().with_timing(ProtocolTiming {
-        accept_window: SimDuration::from_millis(300),
-        request_retry: SimDuration::from_millis(1000),
-        max_request_rounds: 50,
-        assign_ack_timeout: SimDuration::from_millis(200),
-        assign_max_retries: 4,
-    });
-    aria.inform_period = SimDuration::from_millis(2000);
-    DriverConfig {
-        aria,
-        failsafe: true,
-        failsafe_detection: SimDuration::from_millis(3000),
-        membership: MembershipConfig {
-            heartbeat_period: SimDuration::from_millis(500),
-            suspect_misses: 3,
-            dead_misses: 8,
-        },
-    }
-}
 
 /// Alternating short/long ERTs over two requirement classes, all
 /// satisfiable by both profiles below. ERTs are whole seconds — JSDL
