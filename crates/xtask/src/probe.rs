@@ -37,9 +37,17 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 }
 
+/// A command-line mistake: the error, then the usage.
 fn fail(message: &str) -> ExitCode {
-    eprintln!("xtask probe: {message}");
+    error(message);
     eprintln!("{USAGE}");
+    ExitCode::FAILURE
+}
+
+/// A trace that cannot be read or fails its schema: the error alone,
+/// since the command line was fine.
+fn error(message: &str) -> ExitCode {
+    eprintln!("xtask probe: {message}");
     ExitCode::FAILURE
 }
 
@@ -157,7 +165,7 @@ fn timeline(args: &[String]) -> ExitCode {
     let Some(path) = path else { return fail("timeline needs a TRACE.jsonl path") };
     let trace = match load(path) {
         Ok(trace) => trace,
-        Err(message) => return fail(&message),
+        Err(message) => return error(&message),
     };
     match job {
         Some(id) => print!("{}", aria_probe::render_timeline(&trace, aria_grid::JobId::new(id))),
@@ -197,7 +205,7 @@ fn summary(args: &[String]) -> ExitCode {
             print!("{}", aria_probe::summarize(&trace).render());
             ExitCode::SUCCESS
         }
-        Err(message) => fail(&message),
+        Err(message) => error(&message),
     }
 }
 
@@ -209,7 +217,7 @@ fn diff(args: &[String]) -> ExitCode {
     };
     let (left, right) = match (load(left_path), load(right_path)) {
         (Ok(l), Ok(r)) => (l, r),
-        (Err(message), _) | (_, Err(message)) => return fail(&message),
+        (Err(message), _) | (_, Err(message)) => return error(&message),
     };
     match aria_probe::first_divergence(&left, &right) {
         None => {
