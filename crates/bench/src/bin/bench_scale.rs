@@ -183,7 +183,8 @@ fn measure_serial() -> (u64, f64) {
 /// exists precisely to chart raw thread scaling. Returns (total events,
 /// wall seconds over all runs).
 fn measure_aggregate(threads: usize) -> (u64, f64) {
-    let mut worlds: Vec<World> = (0..threads as u64).map(|i| parallel_world(SEED + 1 + i)).collect();
+    let mut worlds: Vec<World> =
+        (0..threads as u64).map(|i| parallel_world(SEED + 1 + i)).collect();
     let start = Instant::now();
     let events: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = worlds

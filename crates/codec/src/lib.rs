@@ -273,10 +273,7 @@ fn put_visited(out: &mut Vec<u8>, visited: &[NodeId]) {
 
 #[expect(clippy::cast_possible_truncation, reason = "every ALL table has fewer than 256 entries")]
 fn enum_index<T: PartialEq + Copy>(table: &[T], value: T) -> u8 {
-    table
-        .iter()
-        .position(|t| *t == value)
-        .expect("value is in its own ALL table") as u8
+    table.iter().position(|t| *t == value).expect("value is in its own ALL table") as u8
 }
 
 fn put_spec(out: &mut Vec<u8>, spec: &JobSpec) {
@@ -333,11 +330,9 @@ pub fn decode(buf: &[u8]) -> Result<LiveMsg, CodecError> {
             flood: r.flood()?,
             visited: r.visited()?,
         },
-        kind::ACCEPT => LiveMsg::Accept {
-            from: r.node()?,
-            job: r.job()?,
-            cost: Cost::from_nal(r.i64()?),
-        },
+        kind::ACCEPT => {
+            LiveMsg::Accept { from: r.node()?, job: r.job()?, cost: Cost::from_nal(r.i64()?) }
+        }
         kind::INFORM => LiveMsg::Inform {
             assignee: r.node()?,
             spec: r.spec()?,
@@ -567,10 +562,7 @@ mod tests {
         let mut assign = encode(&LiveMsg::Assign { initiator: NodeId::new(0), spec: spec() });
         // Byte 18 is the architecture index (4 len + 2 header + 4 node + 8 job).
         assign[18] = 200;
-        assert_eq!(
-            decode(&assign),
-            Err(CodecError::BadEnum { field: "architecture", value: 200 })
-        );
+        assert_eq!(decode(&assign), Err(CodecError::BadEnum { field: "architecture", value: 200 }));
         let mut request = encode(&LiveMsg::Request {
             initiator: NodeId::new(0),
             spec: spec(),

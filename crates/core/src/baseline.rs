@@ -220,15 +220,27 @@ impl Rule {
 
 #[derive(Debug, Clone)]
 enum Event {
-    Submit { job: JobSpec },
-    Complete { node: usize },
+    Submit {
+        job: JobSpec,
+    },
+    Complete {
+        node: usize,
+    },
     Sample,
     /// Multi-request: cancel a queued replica of a job started elsewhere.
-    Revoke { node: usize, job: JobId },
+    Revoke {
+        node: usize,
+        job: JobId,
+    },
     /// Gossip: one node's periodic digest push.
-    GossipTick { node: usize },
+    GossipTick {
+        node: usize,
+    },
     /// Gossip: a digest arriving at its neighbor.
-    DeliverDigest { to: usize, digest: Digest },
+    DeliverDigest {
+        to: usize,
+        digest: Digest,
+    },
 }
 
 /// A grid scheduled by one of ARiA's comparators, over the same node and

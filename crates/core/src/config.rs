@@ -274,9 +274,7 @@ impl WorldConfig {
     /// from 1h23m (reaching 700 nodes around 4h10m).
     pub fn paper_expanding() -> Self {
         let first_join = SimTime::from_mins(83);
-        let joins = (0..200u64)
-            .map(|i| first_join + SimDuration::from_secs(50) * i)
-            .collect();
+        let joins = (0..200u64).map(|i| first_join + SimDuration::from_secs(50) * i).collect();
         WorldConfig { joins, ..WorldConfig::paper_baseline() }
     }
 

@@ -61,10 +61,8 @@ impl FloodTable {
             }
             None => {
                 let id = u32::try_from(self.slots.len()).expect("fewer than 2^32 live floods");
-                self.slots.push(FloodSlot {
-                    visited: VisitedSet::with_capacity(nodes),
-                    in_flight: 0,
-                });
+                self.slots
+                    .push(FloodSlot { visited: VisitedSet::with_capacity(nodes), in_flight: 0 });
                 id
             }
         };
@@ -360,8 +358,7 @@ mod tests {
         jobs.register(spec(5)); // sparse ids leave gaps
         assert_eq!(jobs.spec(JobId::new(5)).id, JobId::new(5));
         jobs.slot_mut(JobId::new(5)).initiator = Some(NodeId::new(2));
-        jobs.slot_mut(JobId::new(5)).pending =
-            Some(PendingRequest { round: 0, best: None });
+        jobs.slot_mut(JobId::new(5)).pending = Some(PendingRequest { round: 0, best: None });
         assert!(jobs.take_pending(JobId::new(5)).is_some());
         assert!(jobs.take_pending(JobId::new(5)).is_none(), "pending is taken once");
     }

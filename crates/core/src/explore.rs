@@ -390,7 +390,7 @@ mod tests {
     use super::*;
     use crate::config::{PolicyMix, WorldConfig};
     use crate::net::NetModel;
-    use aria_grid::{JobId, JobSpec, JobRequirements, Policy};
+    use aria_grid::{JobId, JobRequirements, JobSpec, Policy};
     use aria_sim::SimDuration;
     use aria_workload::ArtModel;
 

@@ -83,10 +83,7 @@ impl FaultPlan {
     /// which is what makes [`FaultPlan::none`] zero-overhead.
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.loss > 0.0
-            || self.duplicate > 0.0
-            || self.jitter_ms > 0
-            || !self.partitions.is_empty()
+        self.loss > 0.0 || self.duplicate > 0.0 || self.jitter_ms > 0 || !self.partitions.is_empty()
     }
 
     /// Whether the injection at `index` is allowed to take effect.

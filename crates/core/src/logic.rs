@@ -21,8 +21,8 @@
 //! it bit-for-bit.
 
 use aria_grid::{Cost, CostKind, JobSpec, NodeProfile, Policy};
-use aria_sim::SimDuration;
 use aria_overlay::NodeId;
+use aria_sim::SimDuration;
 
 /// Whether a node both matches a job's requirements and bids in the
 /// job's cost family — batch (ETTC) offers are never mixed with
@@ -208,7 +208,10 @@ mod tests {
         assert_eq!(close, Hop { offer: None, forward: false });
         let relayed = flood_hop(Some(quote), Some(Cost::from_nal(200_000)), t, true, 2);
         assert_eq!(relayed, Hop { offer: None, forward: true });
-        assert_eq!(flood_hop(None, Some(advertised), t, false, 2), Hop { offer: None, forward: true });
+        assert_eq!(
+            flood_hop(None, Some(advertised), t, false, 2),
+            Hop { offer: None, forward: true }
+        );
         assert_eq!(flood_hop(None, None, t, false, 1), Hop { offer: None, forward: false });
     }
 

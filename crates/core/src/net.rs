@@ -121,10 +121,7 @@ mod tests {
         net.pick_targets(&mut rng, &candidates, 9, &mut picked);
         assert_eq!(picked, candidates, "fanout beyond the candidate count takes them all");
         assert_eq!(net.flood_latency(SimDuration::from_secs(3)), SimDuration::ZERO);
-        assert_eq!(
-            net.reply_latency(&mut rng, &LatencyModel::default(), 4),
-            SimDuration::ZERO
-        );
+        assert_eq!(net.reply_latency(&mut rng, &LatencyModel::default(), 4), SimDuration::ZERO);
         assert_eq!(format!("{rng:?}"), before, "lockstep must not consume RNG");
     }
 
@@ -134,10 +131,7 @@ mod tests {
         let candidates = nodes(12);
         let mut a = SimRng::seed_from(9);
         let mut b = SimRng::seed_from(9);
-        assert_eq!(
-            net.pick_initiator(&mut a, &candidates, JobId::new(0)),
-            *b.choose(&candidates)
-        );
+        assert_eq!(net.pick_initiator(&mut a, &candidates, JobId::new(0)), *b.choose(&candidates));
         let (mut pa, mut pb) = (Vec::new(), Vec::new());
         net.pick_targets(&mut a, &candidates, 4, &mut pa);
         b.choose_multiple_into(&candidates, 4, &mut pb);

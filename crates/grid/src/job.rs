@@ -64,7 +64,12 @@ pub struct JobRequirements {
 
 impl JobRequirements {
     /// Creates a requirement set.
-    pub fn new(arch: Architecture, os: OperatingSystem, min_memory_gb: u16, min_disk_gb: u16) -> Self {
+    pub fn new(
+        arch: Architecture,
+        os: OperatingSystem,
+        min_memory_gb: u16,
+        min_disk_gb: u16,
+    ) -> Self {
         JobRequirements { arch, os, min_memory_gb, min_disk_gb }
     }
 
@@ -117,7 +122,13 @@ impl JobSpec {
         ert: SimDuration,
         deadline: SimTime,
     ) -> Self {
-        JobSpec { id, requirements, ert, deadline: Some(deadline), priority: JobPriority::default() }
+        JobSpec {
+            id,
+            requirements,
+            ert,
+            deadline: Some(deadline),
+            priority: JobPriority::default(),
+        }
     }
 
     /// Returns a copy with the given priority (builder-style).

@@ -395,10 +395,8 @@ impl SchedulerQueue {
     /// NAL of the queue as it stands, optionally with an extra candidate
     /// inserted at its policy position.
     fn nal_of_queue(&self, now: SimTime, extra: Option<QueuedJob>) -> i64 {
-        let deadlines: Vec<Option<SimTime>> = self
-            .ordered_jobs(extra.as_ref())
-            .map(|job| job.spec.deadline)
-            .collect();
+        let deadlines: Vec<Option<SimTime>> =
+            self.ordered_jobs(extra.as_ref()).map(|job| job.spec.deadline).collect();
         let lateness: Vec<i64> = self
             .simulated_completions(now, extra)
             .into_iter()
@@ -719,8 +717,14 @@ mod tests {
         let p = profile();
         q.enqueue(batch(1, 2), SimTime::ZERO, &p);
         q.enqueue(batch(2, 3), SimTime::ZERO, &p);
-        assert_eq!(q.ettc_of_waiting(JobId::new(1), SimTime::ZERO), Some(SimDuration::from_hours(2)));
-        assert_eq!(q.ettc_of_waiting(JobId::new(2), SimTime::ZERO), Some(SimDuration::from_hours(5)));
+        assert_eq!(
+            q.ettc_of_waiting(JobId::new(1), SimTime::ZERO),
+            Some(SimDuration::from_hours(2))
+        );
+        assert_eq!(
+            q.ettc_of_waiting(JobId::new(2), SimTime::ZERO),
+            Some(SimDuration::from_hours(5))
+        );
         assert_eq!(q.ettc_of_waiting(JobId::new(9), SimTime::ZERO), None);
     }
 

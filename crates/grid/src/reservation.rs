@@ -125,7 +125,9 @@ impl ReservationCalendar {
     pub fn try_add(&mut self, reservation: Reservation) -> Result<(), ReservationConflict> {
         let pos = self.windows.partition_point(|w| w.start < reservation.start);
         for neighbor in self.windows[pos.saturating_sub(1)..].iter().take(2) {
-            if neighbor.overlaps(reservation.start, reservation.end.saturating_since(reservation.start)) {
+            if neighbor
+                .overlaps(reservation.start, reservation.end.saturating_since(reservation.start))
+            {
                 return Err(ReservationConflict { existing: *neighbor });
             }
         }

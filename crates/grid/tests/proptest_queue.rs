@@ -3,8 +3,8 @@
 //! streams.
 
 use aria_grid::{
-    Architecture, Cost, JobId, JobPriority, JobRequirements, JobSpec, NodeProfile,
-    OperatingSystem, PerfIndex, Policy, SchedulerQueue,
+    Architecture, Cost, JobId, JobPriority, JobRequirements, JobSpec, NodeProfile, OperatingSystem,
+    PerfIndex, Policy, SchedulerQueue,
 };
 use aria_sim::{SimDuration, SimTime};
 use proptest::prelude::*;

@@ -287,9 +287,8 @@ fn unescape(raw: &str, offset: usize) -> Result<Cow<'_, str>, XmlError> {
     while let Some(amp) = rest.find('&') {
         out.push_str(&rest[..amp]);
         rest = &rest[amp..];
-        let semi = rest
-            .find(';')
-            .ok_or_else(|| XmlError::new("unterminated entity reference", offset))?;
+        let semi =
+            rest.find(';').ok_or_else(|| XmlError::new("unterminated entity reference", offset))?;
         match &rest[..=semi] {
             "&lt;" => out.push('<'),
             "&gt;" => out.push('>'),
@@ -343,8 +342,10 @@ mod tests {
 
     #[test]
     fn strips_namespace_prefixes() {
-        let root = parse(r#"<jsdl:JobDefinition xmlns:jsdl="urn:x"><jsdl:JobDescription/></jsdl:JobDefinition>"#)
-            .unwrap();
+        let root = parse(
+            r#"<jsdl:JobDefinition xmlns:jsdl="urn:x"><jsdl:JobDescription/></jsdl:JobDefinition>"#,
+        )
+        .unwrap();
         assert_eq!(root.name, "JobDefinition");
         assert_eq!(root.attribute("jsdl"), Some("urn:x")); // xmlns:jsdl -> local name jsdl
         assert!(root.child("JobDescription").is_some());

@@ -126,30 +126,18 @@ impl MetricsCollector {
 
     /// Summary of waiting times over completed jobs, in seconds.
     pub fn waiting_summary(&self) -> Summary {
-        self.records
-            .values()
-            .filter_map(|r| r.waiting_time())
-            .map(|d| d.as_secs_f64())
-            .collect()
+        self.records.values().filter_map(|r| r.waiting_time()).map(|d| d.as_secs_f64()).collect()
     }
 
     /// Summary of execution times over completed jobs, in seconds.
     pub fn execution_summary(&self) -> Summary {
-        self.records
-            .values()
-            .filter_map(|r| r.execution_time())
-            .map(|d| d.as_secs_f64())
-            .collect()
+        self.records.values().filter_map(|r| r.execution_time()).map(|d| d.as_secs_f64()).collect()
     }
 
     /// Summary of completion times over completed jobs, in seconds
     /// (Figures 2, 7, 8, 9).
     pub fn completion_summary(&self) -> Summary {
-        self.records
-            .values()
-            .filter_map(|r| r.completion_time())
-            .map(|d| d.as_secs_f64())
-            .collect()
+        self.records.values().filter_map(|r| r.completion_time()).map(|d| d.as_secs_f64()).collect()
     }
 
     /// Summary of per-job reschedule counts.

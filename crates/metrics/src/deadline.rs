@@ -53,9 +53,7 @@ impl DeadlineStats {
 
     /// Average lateness (slack) of met deadlines.
     pub fn avg_lateness(&self) -> SimDuration {
-        self.slack_ms_sum
-            .checked_div(self.met)
-            .map_or(SimDuration::ZERO, SimDuration::from_millis)
+        self.slack_ms_sum.checked_div(self.met).map_or(SimDuration::ZERO, SimDuration::from_millis)
     }
 
     /// Average time past the deadline of missed deadlines.

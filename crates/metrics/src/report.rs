@@ -24,10 +24,7 @@ pub fn series_csv(series: &[(&str, &TimeSeries)]) -> String {
     let Some((_, first)) = series.first() else {
         return out;
     };
-    assert!(
-        series.iter().all(|(_, s)| s.period() == first.period()),
-        "series periods differ"
-    );
+    assert!(series.iter().all(|(_, s)| s.period() == first.period()), "series periods differ");
     let rows = series.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
     for i in 0..rows {
         let _ = write!(out, "{}", first.time_at(i).as_secs());
@@ -54,7 +51,8 @@ where
          completed_s,waiting_s,execution_s,completion_s,deadline_s,deadline_slack_s\n",
     );
     for r in records {
-        let opt_t = |t: Option<aria_sim::SimTime>| t.map_or(String::new(), |t| t.as_secs().to_string());
+        let opt_t =
+            |t: Option<aria_sim::SimTime>| t.map_or(String::new(), |t| t.as_secs().to_string());
         let opt_d =
             |d: Option<aria_sim::SimDuration>| d.map_or(String::new(), |d| d.as_secs().to_string());
         let _ = writeln!(

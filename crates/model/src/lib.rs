@@ -399,7 +399,11 @@ impl Explorer {
         (world.into_probe().into_trace(meta), violation)
     }
 
-    fn replay_on<P: Probe + Clone>(&self, probe: P, trace: &[Action]) -> (World<P>, Option<String>) {
+    fn replay_on<P: Probe + Clone>(
+        &self,
+        probe: P,
+        trace: &[Action],
+    ) -> (World<P>, Option<String>) {
         let mut node = self.root_with(probe);
         if let Some(message) = self.check_state(&node, true) {
             return (node.world, Some(message));
@@ -565,13 +569,8 @@ impl Explorer {
         // No duplicated execution: the collector's completion counter
         // must match the number of completed records, each completed
         // once, and never exceed the submitted jobs.
-        let completed_records = node
-            .world
-            .metrics()
-            .records()
-            .values()
-            .filter(|r| r.is_completed())
-            .count() as u64;
+        let completed_records =
+            node.world.metrics().records().values().filter(|r| r.is_completed()).count() as u64;
         if node.world.completion_count() != completed_records
             || completed_records > self.config.jobs as u64
         {
@@ -611,9 +610,7 @@ impl Explorer {
             ));
         }
         if self.config.drops == 0 && lost != 0 {
-            return Some(format!(
-                "{lost} job(s) lost without any message loss injected"
-            ));
+            return Some(format!("{lost} job(s) lost without any message loss injected"));
         }
         for job in self.config.job_ids() {
             if world.is_completed(job) && world.holder_of(job).is_some() {
@@ -664,11 +661,8 @@ mod tests {
 
     #[test]
     fn drops_are_survived_by_the_failsafe_accounting() {
-        let explorer = Explorer::new(ModelConfig {
-            drops: 1,
-            max_states: 400_000,
-            ..ModelConfig::default()
-        });
+        let explorer =
+            Explorer::new(ModelConfig { drops: 1, max_states: 400_000, ..ModelConfig::default() });
         let (stats, violation) = explorer.run();
         assert!(violation.is_none(), "unexpected violation:\n{}", violation.unwrap());
         assert!(stats.states > 0);
@@ -676,11 +670,8 @@ mod tests {
 
     #[test]
     fn duplicated_floods_do_not_break_suppression() {
-        let explorer = Explorer::new(ModelConfig {
-            dups: 1,
-            max_states: 400_000,
-            ..ModelConfig::default()
-        });
+        let explorer =
+            Explorer::new(ModelConfig { dups: 1, max_states: 400_000, ..ModelConfig::default() });
         let (stats, violation) = explorer.run();
         assert!(violation.is_none(), "unexpected violation:\n{}", violation.unwrap());
         assert!(stats.states > 0);
@@ -688,10 +679,8 @@ mod tests {
 
     #[test]
     fn self_check_property_fails_with_a_replayable_minimal_trace() {
-        let config = ModelConfig {
-            property: Property::SelfCheckNoExecution,
-            ..ModelConfig::default()
-        };
+        let config =
+            ModelConfig { property: Property::SelfCheckNoExecution, ..ModelConfig::default() };
         let explorer = Explorer::new(config);
         let (_, violation) = explorer.run();
         let violation = violation.expect("the deliberately-false property must be caught");
@@ -710,10 +699,8 @@ mod tests {
 
     #[test]
     fn counterexample_traces_export_in_the_probe_schema() {
-        let config = ModelConfig {
-            property: Property::SelfCheckNoExecution,
-            ..ModelConfig::default()
-        };
+        let config =
+            ModelConfig { property: Property::SelfCheckNoExecution, ..ModelConfig::default() };
         let explorer = Explorer::new(config);
         let (_, violation) = explorer.run();
         let violation = violation.expect("the deliberately-false property must be caught");
@@ -745,7 +732,8 @@ mod tests {
             for workers in [2, 8] {
                 let parallel = explorer.run_parallel(workers);
                 assert_eq!(
-                    serial, parallel,
+                    serial,
+                    parallel,
                     "parallel exploration diverged at workers={workers} for {:?}",
                     explorer.config()
                 );

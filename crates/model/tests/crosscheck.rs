@@ -55,8 +55,5 @@ fn queue_order_replay_is_bit_for_bit_identical_to_the_driver() {
     assert_eq!(replayed.fingerprint(), driver.fingerprint());
     // The statistics fingerprint must match too: the collector's full
     // per-job records and counters are identical, not just the topology.
-    assert_eq!(
-        format!("{:?}", replayed.metrics()),
-        format!("{:?}", driver.metrics())
-    );
+    assert_eq!(format!("{:?}", replayed.metrics()), format!("{:?}", driver.metrics()));
 }

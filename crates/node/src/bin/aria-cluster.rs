@@ -28,8 +28,7 @@
 //! the merged trace.
 
 use aria_grid::{
-    Architecture, JobId, JobRequirements, JobSpec, NodeProfile, OperatingSystem, PerfIndex,
-    Policy,
+    Architecture, JobId, JobRequirements, JobSpec, NodeProfile, OperatingSystem, PerfIndex, Policy,
 };
 use aria_node::cluster::{
     live_timing, liveness_bound, run_cluster, ChurnAction, ChurnEvent, ClusterSpec,
@@ -112,8 +111,7 @@ fn parse_args() -> Result<Args, String> {
                     value("--submit-gap-ms")?.parse().map_err(|e| format!("{e}"))?
             }
             "--soak-secs" => {
-                args.soak_secs =
-                    Some(value("--soak-secs")?.parse().map_err(|e| format!("{e}"))?)
+                args.soak_secs = Some(value("--soak-secs")?.parse().map_err(|e| format!("{e}"))?)
             }
             "--max-node-rss-mb" => {
                 args.max_node_rss_mb =

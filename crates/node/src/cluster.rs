@@ -221,8 +221,7 @@ pub fn liveness_bound(driver: &DriverConfig, max_ert: Duration) -> Duration {
     let per_round = dur(t.accept_window) + dur(t.request_retry);
     let discovery = per_round * t.max_request_rounds.clamp(1, 3);
     let assign = dur(t.assign_ack_timeout) * (t.assign_max_retries + 1);
-    let detection =
-        dur(driver.membership.heartbeat_period) * (driver.membership.dead_misses + 1);
+    let detection = dur(driver.membership.heartbeat_period) * (driver.membership.dead_misses + 1);
     let failsafe = dur(driver.failsafe_detection);
     2 * discovery + assign + detection + failsafe + 3 * max_ert + Duration::from_secs(5)
 }
@@ -298,12 +297,7 @@ fn collect_trace(path: &Path, node: u32) -> io::Result<Option<Trace>> {
             if !text.ends_with('\n') {
                 lines.pop(); // torn by the kill mid-write
             }
-            let meta = TraceMeta {
-                scenario: "live-node".to_string(),
-                seed: 0,
-                nodes: 0,
-                jobs: 0,
-            };
+            let meta = TraceMeta { scenario: "live-node".to_string(), seed: 0, nodes: 0, jobs: 0 };
             let mut doc = schema::header_line(&meta, lines.len() as u64, 0);
             doc.push('\n');
             for line in &lines {
@@ -383,11 +377,10 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
         let suffix =
             if incarnation == 0 { format!("node-{i}") } else { format!("node-{i}-r{incarnation}") };
         let trace = spec.dir.join(format!("{suffix}.jsonl"));
-        let loss_window = spec
-            .loss_windows
-            .iter()
-            .find(|(n, _, _)| *n == i)
-            .map(|&(_, from, until)| (SimDuration::from_millis(from), SimDuration::from_millis(until)));
+        let loss_window =
+            spec.loss_windows.iter().find(|(n, _, _)| *n == i).map(|&(_, from, until)| {
+                (SimDuration::from_millis(from), SimDuration::from_millis(until))
+            });
         let config = NodeConfig {
             id: NodeId::new(i),
             bind: node_addrs[i as usize].clone(),
@@ -485,7 +478,8 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
                 }
                 ChurnAction::Restart(node) => {
                     incarnations[node as usize] += 1;
-                    let (config, trace, config_path) = make_config(node, incarnations[node as usize]);
+                    let (config, trace, config_path) =
+                        make_config(node, incarnations[node as usize]);
                     trace_paths.push((node, trace));
                     children[node as usize] = spawn(&config, &config_path)?;
                 }

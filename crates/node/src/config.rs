@@ -77,8 +77,9 @@ fn parse_toml(text: &str) -> Result<BTreeMap<String, Section>, ConfigError> {
             return err(format!("line {n}: expected `key = value`"));
         };
         let key = key.trim().to_string();
-        let value = parse_value(value.trim())
-            .ok_or_else(|| ConfigError(format!("line {n}: unparseable value `{}`", value.trim())))?;
+        let value = parse_value(value.trim()).ok_or_else(|| {
+            ConfigError(format!("line {n}: unparseable value `{}`", value.trim()))
+        })?;
         let section = sections.entry(current.clone()).or_default();
         if section.insert(key.clone(), value).is_some() {
             return err(format!("line {n}: duplicate key `{key}`"));
@@ -152,9 +153,11 @@ impl NodeConfig {
         let timing = sections.get("timing").unwrap_or(&empty);
         let peers = sections.get("peers").unwrap_or(&empty);
 
-        let id = NodeId::new(get_int(node, "node", "id")?.try_into().map_err(|_| {
-            ConfigError("node.id must fit in u32".into())
-        })?);
+        let id = NodeId::new(
+            get_int(node, "node", "id")?
+                .try_into()
+                .map_err(|_| ConfigError("node.id must fit in u32".into()))?,
+        );
         let bind = get_str(node, "node", "bind")?;
         validate_addr("node.bind", &bind)?;
         let report = opt_str(node, "report");
@@ -240,22 +243,20 @@ impl NodeConfig {
         if !(0.0..1.0).contains(&loss) {
             return err(format!("node.loss {loss} must be in [0, 1)"));
         }
-        let loss_window = match (
-            opt_u64(node, "node", "loss_from_ms")?,
-            opt_u64(node, "node", "loss_until_ms")?,
-        ) {
-            (None, None) => None,
-            (Some(from), Some(until)) if until > from => Some((
-                SimDuration::from_millis(from),
-                SimDuration::from_millis(until),
-            )),
-            (Some(from), Some(until)) => {
-                return err(format!(
-                    "node.loss_until_ms ({until}) must exceed node.loss_from_ms ({from})"
-                ))
-            }
-            _ => return err("node.loss_from_ms and node.loss_until_ms must be set together"),
-        };
+        let loss_window =
+            match (opt_u64(node, "node", "loss_from_ms")?, opt_u64(node, "node", "loss_until_ms")?)
+            {
+                (None, None) => None,
+                (Some(from), Some(until)) if until > from => {
+                    Some((SimDuration::from_millis(from), SimDuration::from_millis(until)))
+                }
+                (Some(from), Some(until)) => {
+                    return err(format!(
+                        "node.loss_until_ms ({until}) must exceed node.loss_from_ms ({from})"
+                    ))
+                }
+                _ => return err("node.loss_from_ms and node.loss_until_ms must be set together"),
+            };
 
         Ok(NodeConfig {
             id,
@@ -536,18 +537,13 @@ inform_period_ms = 2000
     fn strictness_rejects_bad_inputs() {
         assert!(NodeConfig::parse("").is_err(), "missing [node]");
         assert!(NodeConfig::parse("[node]\nid = 0\n").is_err(), "missing bind");
+        assert!(NodeConfig::parse("[node\nid = 0\n").is_err(), "unterminated section header");
         assert!(
-            NodeConfig::parse("[node\nid = 0\n").is_err(),
-            "unterminated section header"
-        );
-        assert!(
-            NodeConfig::parse("[node]\nid = 0\nid = 1\nbind = \"a\"\n[peers]\n0 = \"a\"")
-                .is_err(),
+            NodeConfig::parse("[node]\nid = 0\nid = 1\nbind = \"a\"\n[peers]\n0 = \"a\"").is_err(),
             "duplicate key"
         );
         assert!(
-            NodeConfig::parse("[node]\nid = 0\nbind = \"a\"\n[typo]\n[peers]\n0 = \"a\"")
-                .is_err(),
+            NodeConfig::parse("[node]\nid = 0\nbind = \"a\"\n[typo]\n[peers]\n0 = \"a\"").is_err(),
             "unknown section"
         );
         assert!(

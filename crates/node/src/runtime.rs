@@ -110,8 +110,15 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
     let mut now = now_sim(&epoch);
     let startup = driver.start(now);
     execute(
-        &mut driver, &socket, &addr_of, report_addr, &mut wheel, &mut tracer, &mut report,
-        now, startup,
+        &mut driver,
+        &socket,
+        &addr_of,
+        report_addr,
+        &mut wheel,
+        &mut tracer,
+        &mut report,
+        now,
+        startup,
     )?;
 
     let mut buf = vec![0u8; 64 * 1024];
@@ -120,8 +127,15 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
         while let Some(timer) = wheel.pop_due(now) {
             let outputs = driver.handle(now, Input::Timer(timer));
             execute(
-                &mut driver, &socket, &addr_of, report_addr, &mut wheel, &mut tracer,
-                &mut report, now, outputs,
+                &mut driver,
+                &socket,
+                &addr_of,
+                report_addr,
+                &mut wheel,
+                &mut tracer,
+                &mut report,
+                now,
+                outputs,
             )?;
         }
 
@@ -178,8 +192,15 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
         }
         let outputs = driver.handle(now, Input::Msg { from, msg });
         execute(
-            &mut driver, &socket, &addr_of, report_addr, &mut wheel, &mut tracer, &mut report,
-            now, outputs,
+            &mut driver,
+            &socket,
+            &addr_of,
+            report_addr,
+            &mut wheel,
+            &mut tracer,
+            &mut report,
+            now,
+            outputs,
         )?;
     }
 
@@ -287,9 +308,10 @@ fn msg_job(msg: &LiveMsg) -> Option<JobId> {
         | LiveMsg::Ack { job, .. }
         | LiveMsg::Done { job, .. }
         | LiveMsg::Holding { job, .. } => Some(*job),
-        LiveMsg::Join { .. } | LiveMsg::Leave { .. } | LiveMsg::Heartbeat { .. } | LiveMsg::Shutdown => {
-            None
-        }
+        LiveMsg::Join { .. }
+        | LiveMsg::Leave { .. }
+        | LiveMsg::Heartbeat { .. }
+        | LiveMsg::Shutdown => None,
     }
 }
 

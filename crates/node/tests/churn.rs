@@ -10,12 +10,10 @@
 //! job whose *initiator* dies is unrecoverable by design.
 
 use aria_grid::{
-    Architecture, JobId, JobRequirements, JobSpec, NodeProfile, OperatingSystem, PerfIndex,
-    Policy,
+    Architecture, JobId, JobRequirements, JobSpec, NodeProfile, OperatingSystem, PerfIndex, Policy,
 };
 use aria_node::cluster::{
-    live_timing, liveness_bound, run_cluster, ChurnAction, ChurnEvent, ClusterOutcome,
-    ClusterSpec,
+    live_timing, liveness_bound, run_cluster, ChurnAction, ChurnEvent, ClusterOutcome, ClusterSpec,
 };
 use aria_sim::SimDuration;
 use std::path::PathBuf;

@@ -8,8 +8,7 @@
 //! oracle: same probe schema, same merged-trace validation, real I/O.
 
 use aria_grid::{
-    Architecture, JobId, JobRequirements, JobSpec, NodeProfile, OperatingSystem, PerfIndex,
-    Policy,
+    Architecture, JobId, JobRequirements, JobSpec, NodeProfile, OperatingSystem, PerfIndex, Policy,
 };
 use aria_node::cluster::{live_timing, run_cluster, ClusterSpec};
 use aria_probe::{schema, ProbeEvent};
@@ -94,12 +93,16 @@ fn lossy_five_node_cluster_conserves_every_job() {
     assert_eq!(outcome.merged.meta.scenario, "live-cluster");
     assert_eq!(outcome.merged.meta.nodes, 5);
     for spec in &jobs {
-        let submitted = outcome.merged.entries.iter().any(
-            |e| matches!(e.event, ProbeEvent::JobSubmitted { job, .. } if job == spec.id),
-        );
-        let started = outcome.merged.entries.iter().any(
-            |e| matches!(e.event, ProbeEvent::Started { job, .. } if job == spec.id),
-        );
+        let submitted = outcome
+            .merged
+            .entries
+            .iter()
+            .any(|e| matches!(e.event, ProbeEvent::JobSubmitted { job, .. } if job == spec.id));
+        let started = outcome
+            .merged
+            .entries
+            .iter()
+            .any(|e| matches!(e.event, ProbeEvent::Started { job, .. } if job == spec.id));
         assert!(submitted, "{} has a job-submitted event", spec.id);
         assert!(started, "{} has a started event", spec.id);
     }

@@ -80,10 +80,7 @@ mod tests {
         TraceEntry {
             seq,
             at: SimTime::from_secs(seq),
-            event: ProbeEvent::JobSubmitted {
-                job: JobId::new(job),
-                initiator: NodeId::new(node),
-            },
+            event: ProbeEvent::JobSubmitted { job: JobId::new(job), initiator: NodeId::new(node) },
         }
     }
 

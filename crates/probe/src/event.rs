@@ -84,8 +84,12 @@ named_enum! {
 
 /// The wire key of a table field: its name, or the `as` rename.
 macro_rules! wire_key {
-    ($field:ident) => { stringify!($field) };
-    ($field:ident $key:ident) => { stringify!($key) };
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:ident) => {
+        stringify!($key)
+    };
 }
 
 /// Generates [`ProbeEvent`] and its schema plumbing from one row per
@@ -467,7 +471,10 @@ impl fmt::Display for ProbeEvent {
                 write!(f, "{job} submitted at {initiator}")
             }
             ProbeEvent::RequestRound { job, initiator, round, flood, seeds } => {
-                write!(f, "{job} REQUEST round {round} from {initiator} (flood-{flood}, {seeds} seeds)")
+                write!(
+                    f,
+                    "{job} REQUEST round {round} from {initiator} (flood-{flood}, {seeds} seeds)"
+                )
             }
             ProbeEvent::FloodHop { kind, job, flood, node, hops_left, duplicate } => {
                 let dup = if duplicate { ", duplicate" } else { "" };
@@ -520,7 +527,11 @@ impl fmt::Display for ProbeEvent {
             ProbeEvent::MessageDropped { kind, job, to } => {
                 // Dead destination or lossy transport — the cause is the
                 // neighboring crash/fault event, not repeated here.
-                write!(f, "{} for {job} dropped on its way to {to}", kind.name().to_ascii_uppercase())
+                write!(
+                    f,
+                    "{} for {job} dropped on its way to {to}",
+                    kind.name().to_ascii_uppercase()
+                )
             }
             ProbeEvent::AssignRetransmit { job, to, attempt } => {
                 write!(f, "ASSIGN for {job} retransmitted to {to} (attempt {attempt})")
@@ -600,7 +611,8 @@ mod tests {
         for kind in [FloodKind::Request, FloodKind::Inform] {
             assert_eq!(FloodKind::read(&read(kind.name())), Some(kind));
         }
-        let msgs = [MsgKind::Request, MsgKind::Accept, MsgKind::Inform, MsgKind::Assign, MsgKind::Ack];
+        let msgs =
+            [MsgKind::Request, MsgKind::Accept, MsgKind::Inform, MsgKind::Assign, MsgKind::Ack];
         for kind in msgs {
             assert_eq!(MsgKind::read(&read(kind.name())), Some(kind));
         }

@@ -483,7 +483,11 @@ mod tests {
         let entries = events
             .into_iter()
             .enumerate()
-            .map(|(i, event)| TraceEntry { seq: i as u64, at: SimTime::from_millis(1000 * i as u64), event })
+            .map(|(i, event)| TraceEntry {
+                seq: i as u64,
+                at: SimTime::from_millis(1000 * i as u64),
+                event,
+            })
             .collect();
         Trace {
             meta: TraceMeta { scenario: scenario.to_string(), seed: 5, nodes: 32, jobs: 10 },
@@ -498,15 +502,27 @@ mod tests {
         let entries = vec![
             (60_000, ProbeEvent::JobSubmitted { job, initiator: n0 }),
             (60_000, ProbeEvent::RequestRound { job, initiator: n0, round: 0, flood: 0, seeds: 4 }),
-            (60_040, ProbeEvent::FloodHop {
-                kind: FloodKind::Request,
-                job,
-                flood: 0,
-                node: n5,
-                hops_left: 8,
-                duplicate: false,
-            }),
-            (60_080, ProbeEvent::BidSent { kind: FloodKind::Request, job, from: n5, to: n0, cost_ms: -12_000 }),
+            (
+                60_040,
+                ProbeEvent::FloodHop {
+                    kind: FloodKind::Request,
+                    job,
+                    flood: 0,
+                    node: n5,
+                    hops_left: 8,
+                    duplicate: false,
+                },
+            ),
+            (
+                60_080,
+                ProbeEvent::BidSent {
+                    kind: FloodKind::Request,
+                    job,
+                    from: n5,
+                    to: n0,
+                    cost_ms: -12_000,
+                },
+            ),
             (90_000, ProbeEvent::Assigned { job, by: n0, to: n5, reschedule: false }),
             (91_000, ProbeEvent::Gauge { idle: 29, queued: 1, pending_events: 7, peak_events: 40 }),
         ];
@@ -516,7 +532,11 @@ mod tests {
             entries: entries
                 .into_iter()
                 .enumerate()
-                .map(|(seq, (ms, event))| TraceEntry { seq: seq as u64, at: SimTime::from_millis(ms), event })
+                .map(|(seq, (ms, event))| TraceEntry {
+                    seq: seq as u64,
+                    at: SimTime::from_millis(ms),
+                    event,
+                })
                 .collect(),
         }
     }
@@ -525,34 +545,61 @@ mod tests {
     fn every_kind() -> Trace {
         let job = JobId::new(3);
         let (a, b) = (NodeId::new(1), NodeId::new(7));
-        trace_of("every-kind", vec![
-            ProbeEvent::JobSubmitted { job, initiator: a },
-            ProbeEvent::RequestRound { job, initiator: a, round: 1, flood: 2, seeds: 4 },
-            ProbeEvent::FloodHop { kind: FloodKind::Inform, job, flood: 2, node: b, hops_left: 8, duplicate: true },
-            ProbeEvent::BidSent { kind: FloodKind::Request, job, from: b, to: a, cost_ms: -12_000 },
-            ProbeEvent::OfferReceived { job, initiator: a, from: b, cost_ms: 9_500, best: true },
-            ProbeEvent::Assigned { job, by: a, to: b, reschedule: true },
-            ProbeEvent::RetryScheduled { job, initiator: a, round: 2 },
-            ProbeEvent::JobAbandoned { job, initiator: a },
-            ProbeEvent::Enqueued { job, node: b, depth: 5 },
-            ProbeEvent::Started { job, node: b },
-            ProbeEvent::Completed { job, node: b },
-            ProbeEvent::InformRound { job, node: b, flood: 6, cost_ms: 40_000 },
-            ProbeEvent::NodeJoined { node: NodeId::new(31) },
-            ProbeEvent::NodeCrashed { node: b, lost_jobs: 2 },
-            ProbeEvent::RecoveryStarted { job, initiator: a },
-            ProbeEvent::JobLost { job: JobId::new(9) },
-            ProbeEvent::MessageDropped { kind: MsgKind::Accept, job, to: b },
-            ProbeEvent::AssignRetransmit { job, to: b, attempt: 1 },
-            ProbeEvent::AckReceived { job, from: b },
-            ProbeEvent::DuplicateSuppressed { kind: MsgKind::Ack, job, node: b },
-            ProbeEvent::PartitionStarted { window: 0 },
-            ProbeEvent::PartitionHealed { window: 0 },
-            ProbeEvent::PeerSuspected { peer: b, by: a },
-            ProbeEvent::PeerDead { peer: b, by: a },
-            ProbeEvent::PeerRejoined { peer: b, by: a },
-            ProbeEvent::Gauge { idle: 29, queued: u64::from(u32::MAX) + 1, pending_events: 7, peak_events: 40 },
-        ])
+        trace_of(
+            "every-kind",
+            vec![
+                ProbeEvent::JobSubmitted { job, initiator: a },
+                ProbeEvent::RequestRound { job, initiator: a, round: 1, flood: 2, seeds: 4 },
+                ProbeEvent::FloodHop {
+                    kind: FloodKind::Inform,
+                    job,
+                    flood: 2,
+                    node: b,
+                    hops_left: 8,
+                    duplicate: true,
+                },
+                ProbeEvent::BidSent {
+                    kind: FloodKind::Request,
+                    job,
+                    from: b,
+                    to: a,
+                    cost_ms: -12_000,
+                },
+                ProbeEvent::OfferReceived {
+                    job,
+                    initiator: a,
+                    from: b,
+                    cost_ms: 9_500,
+                    best: true,
+                },
+                ProbeEvent::Assigned { job, by: a, to: b, reschedule: true },
+                ProbeEvent::RetryScheduled { job, initiator: a, round: 2 },
+                ProbeEvent::JobAbandoned { job, initiator: a },
+                ProbeEvent::Enqueued { job, node: b, depth: 5 },
+                ProbeEvent::Started { job, node: b },
+                ProbeEvent::Completed { job, node: b },
+                ProbeEvent::InformRound { job, node: b, flood: 6, cost_ms: 40_000 },
+                ProbeEvent::NodeJoined { node: NodeId::new(31) },
+                ProbeEvent::NodeCrashed { node: b, lost_jobs: 2 },
+                ProbeEvent::RecoveryStarted { job, initiator: a },
+                ProbeEvent::JobLost { job: JobId::new(9) },
+                ProbeEvent::MessageDropped { kind: MsgKind::Accept, job, to: b },
+                ProbeEvent::AssignRetransmit { job, to: b, attempt: 1 },
+                ProbeEvent::AckReceived { job, from: b },
+                ProbeEvent::DuplicateSuppressed { kind: MsgKind::Ack, job, node: b },
+                ProbeEvent::PartitionStarted { window: 0 },
+                ProbeEvent::PartitionHealed { window: 0 },
+                ProbeEvent::PeerSuspected { peer: b, by: a },
+                ProbeEvent::PeerDead { peer: b, by: a },
+                ProbeEvent::PeerRejoined { peer: b, by: a },
+                ProbeEvent::Gauge {
+                    idle: 29,
+                    queued: u64::from(u32::MAX) + 1,
+                    pending_events: 7,
+                    peak_events: 40,
+                },
+            ],
+        )
     }
 
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -630,12 +677,15 @@ mod tests {
         // Gauges beyond u32::MAX round-trip exactly instead of
         // truncating (the 100k-node regime).
         let big = u64::from(u32::MAX) + 17;
-        let trace = trace_of("scale", vec![ProbeEvent::Gauge {
-            idle: 100_000,
-            queued: big,
-            pending_events: big + 1,
-            peak_events: big + 2,
-        }]);
+        let trace = trace_of(
+            "scale",
+            vec![ProbeEvent::Gauge {
+                idle: 100_000,
+                queued: big,
+                pending_events: big + 1,
+                peak_events: big + 2,
+            }],
+        );
         let back = from_jsonl(&to_jsonl(&trace)).expect("parse");
         assert_eq!(back, trace);
     }
@@ -645,8 +695,7 @@ mod tests {
         // The live runtime writes header_line + entry_line incrementally;
         // the result must be byte-identical to a one-shot to_jsonl dump.
         let trace = every_kind();
-        let mut streamed =
-            header_line(&trace.meta, trace.entries.len() as u64, trace.dropped);
+        let mut streamed = header_line(&trace.meta, trace.entries.len() as u64, trace.dropped);
         streamed.push('\n');
         for entry in &trace.entries {
             streamed.push_str(&entry_line(entry));
@@ -671,8 +720,8 @@ mod tests {
         // stamp are refused at the header like nonsense ones, whatever
         // kinds follow.
         for version in [0, 3, 5, 99] {
-            let text =
-                to_jsonl(&sample_trace()).replace("\"version\":4", &format!("\"version\":{version}"));
+            let text = to_jsonl(&sample_trace())
+                .replace("\"version\":4", &format!("\"version\":{version}"));
             let e = from_jsonl(&text).unwrap_err();
             assert_eq!(e.line, 1, "{e}");
             assert!(e.message.contains(&format!("unsupported schema version {version}")), "{e}");
@@ -688,7 +737,8 @@ mod tests {
 
     #[test]
     fn missing_field_is_rejected_with_line_number() {
-        let text = to_jsonl(&sample_trace()).replace(",\"initiator\":0,\"round\":0", ",\"round\":0");
+        let text =
+            to_jsonl(&sample_trace()).replace(",\"initiator\":0,\"round\":0", ",\"round\":0");
         let e = from_jsonl(&text).unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("missing field \"initiator\""), "{e}");
@@ -707,9 +757,17 @@ mod tests {
     fn mistyped_fields_are_rejected() {
         for (from, to, expected) in [
             (r#""hops_left":8"#, r#""hops_left":4294967296"#, "an integer in u32 range"),
-            (r#""job":3,"initiator":0,"round""#, r#""job":-3,"initiator":0,"round""#, "an integer >= 0"),
+            (
+                r#""job":3,"initiator":0,"round""#,
+                r#""job":-3,"initiator":0,"round""#,
+                "an integer >= 0",
+            ),
             (r#""duplicate":false"#, r#""duplicate":0"#, "a boolean"),
-            (r#""flood_kind":"request","job":3,"flood""#, r#""flood_kind":"gossip","job":3,"flood""#, "a known name"),
+            (
+                r#""flood_kind":"request","job":3,"flood""#,
+                r#""flood_kind":"gossip","job":3,"flood""#,
+                "a known name",
+            ),
         ] {
             let text = to_jsonl(&sample_trace()).replacen(from, to, 1);
             let key = from.split('"').nth(1).unwrap();

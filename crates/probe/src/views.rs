@@ -157,8 +157,11 @@ impl TraceSummary {
             self.duplicate_request_hops,
             self.offers_per_request(),
         );
-        let _ =
-            writeln!(out, "inform: {} rounds, {} non-duplicate hops", self.inform_rounds, self.inform_hops);
+        let _ = writeln!(
+            out,
+            "inform: {} rounds, {} non-duplicate hops",
+            self.inform_rounds, self.inform_hops
+        );
         if !self.queue_depth_histogram.is_empty() {
             let _ = writeln!(out, "enqueue depth histogram:");
             for (depth, count) in &self.queue_depth_histogram {
@@ -179,7 +182,11 @@ impl TraceSummary {
 
 /// Folds a trace into [`TraceSummary`] counters.
 pub fn summarize(trace: &Trace) -> TraceSummary {
-    let mut s = TraceSummary { events: trace.entries.len() as u64, dropped: trace.dropped, ..Default::default() };
+    let mut s = TraceSummary {
+        events: trace.entries.len() as u64,
+        dropped: trace.dropped,
+        ..Default::default()
+    };
     for entry in &trace.entries {
         *s.by_kind.entry(entry.event.kind()).or_default() += 1;
         match entry.event {
@@ -230,7 +237,11 @@ mod tests {
             dropped: 0,
             entries: vec![
                 entry(0, 1, ProbeEvent::JobSubmitted { job, initiator: n0 }),
-                entry(1, 1, ProbeEvent::RequestRound { job, initiator: n0, round: 0, flood: 0, seeds: 2 }),
+                entry(
+                    1,
+                    1,
+                    ProbeEvent::RequestRound { job, initiator: n0, round: 0, flood: 0, seeds: 2 },
+                ),
                 entry(
                     2,
                     2,
@@ -246,7 +257,13 @@ mod tests {
                 entry(
                     3,
                     2,
-                    ProbeEvent::OfferReceived { job, initiator: n0, from: n1, cost_ms: 100, best: true },
+                    ProbeEvent::OfferReceived {
+                        job,
+                        initiator: n0,
+                        from: n1,
+                        cost_ms: 100,
+                        best: true,
+                    },
                 ),
                 entry(4, 3, ProbeEvent::Assigned { job, by: n0, to: n1, reschedule: false }),
                 entry(5, 3, ProbeEvent::Enqueued { job, node: n1, depth: 1 }),

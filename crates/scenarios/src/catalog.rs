@@ -196,12 +196,8 @@ impl Scenario {
         match self {
             Scenario::IInform1 => config.aria.inform_batch = 1,
             Scenario::IInform4 => config.aria.inform_batch = 4,
-            Scenario::IInform15m => {
-                config.aria.reschedule_threshold = SimDuration::from_mins(15)
-            }
-            Scenario::IInform30m => {
-                config.aria.reschedule_threshold = SimDuration::from_mins(30)
-            }
+            Scenario::IInform15m => config.aria.reschedule_threshold = SimDuration::from_mins(15),
+            Scenario::IInform30m => config.aria.reschedule_threshold = SimDuration::from_mins(30),
             _ => {}
         }
         config
@@ -227,10 +223,7 @@ impl Scenario {
 
     /// Whether the scenario uses deadline (EDF) scheduling.
     pub fn is_deadline(self) -> bool {
-        matches!(
-            self.without_rescheduling(),
-            Scenario::Deadline | Scenario::DeadlineH
-        )
+        matches!(self.without_rescheduling(), Scenario::Deadline | Scenario::DeadlineH)
     }
 }
 
@@ -272,10 +265,7 @@ mod tests {
 
     #[test]
     fn world_configs_match_table_ii() {
-        assert_eq!(
-            Scenario::Fcfs.world_config().policies,
-            PolicyMix::Uniform(Policy::Fcfs)
-        );
+        assert_eq!(Scenario::Fcfs.world_config().policies, PolicyMix::Uniform(Policy::Fcfs));
         assert!(!Scenario::Fcfs.world_config().aria.rescheduling);
         assert!(Scenario::IFcfs.world_config().aria.rescheduling);
         assert_eq!(Scenario::IInform1.world_config().aria.inform_batch, 1);
@@ -290,14 +280,8 @@ mod tests {
         );
         assert_eq!(Scenario::Expanding.world_config().joins.len(), 200);
         assert_eq!(Scenario::IPrecise.world_config().art, ArtModel::Exact);
-        assert_eq!(
-            Scenario::IAccuracy25.world_config().art,
-            ArtModel::Symmetric { epsilon: 0.25 }
-        );
-        assert_eq!(
-            Scenario::AccuracyBad.world_config().art,
-            ArtModel::Optimistic { epsilon: 0.1 }
-        );
+        assert_eq!(Scenario::IAccuracy25.world_config().art, ArtModel::Symmetric { epsilon: 0.25 });
+        assert_eq!(Scenario::AccuracyBad.world_config().art, ArtModel::Optimistic { epsilon: 0.1 });
     }
 
     #[test]
@@ -311,18 +295,9 @@ mod tests {
 
     #[test]
     fn load_scenarios_change_schedule() {
-        assert_eq!(
-            Scenario::ILowLoad.submission_schedule().interval(),
-            SimDuration::from_secs(20)
-        );
-        assert_eq!(
-            Scenario::IHighLoad.submission_schedule().interval(),
-            SimDuration::from_secs(5)
-        );
-        assert_eq!(
-            Scenario::IMixed.submission_schedule().interval(),
-            SimDuration::from_secs(10)
-        );
+        assert_eq!(Scenario::ILowLoad.submission_schedule().interval(), SimDuration::from_secs(20));
+        assert_eq!(Scenario::IHighLoad.submission_schedule().interval(), SimDuration::from_secs(5));
+        assert_eq!(Scenario::IMixed.submission_schedule().interval(), SimDuration::from_secs(10));
     }
 
     #[test]

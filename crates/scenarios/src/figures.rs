@@ -37,11 +37,8 @@ impl Campaign {
 
     /// Runs any scenarios not yet cached and returns results in order.
     fn results(&mut self, scenarios: &[Scenario]) -> Vec<ScenarioResult> {
-        let missing: Vec<Scenario> = scenarios
-            .iter()
-            .copied()
-            .filter(|s| !self.cache.contains_key(s.name()))
-            .collect();
+        let missing: Vec<Scenario> =
+            scenarios.iter().copied().filter(|s| !self.cache.contains_key(s.name())).collect();
         if !missing.is_empty() {
             for result in self.runner.run_many(&missing, &self.seeds) {
                 self.cache.insert(result.scenario.name(), result);
@@ -119,12 +116,8 @@ impl Campaign {
 
     /// Figure 4: deadline scheduling performance.
     pub fn fig4(&mut self) -> String {
-        let scenarios = [
-            Scenario::Deadline,
-            Scenario::IDeadline,
-            Scenario::DeadlineH,
-            Scenario::IDeadlineH,
-        ];
+        let scenarios =
+            [Scenario::Deadline, Scenario::IDeadline, Scenario::DeadlineH, Scenario::IDeadlineH];
         let results = self.results(&scenarios);
         let mut out = String::from(
             "# Figure 4: deadline scheduling performance\nscenario,missed_deadlines,avg_lateness_s,avg_missed_time_s\n",
@@ -429,14 +422,14 @@ const ABLATION_ROWS: [(&str, &str, Edit); 11] = {
 /// Renders one time series per scenario as CSV (a `time_h` column then
 /// one column per scenario, downsampled to half-hour points) followed by
 /// an ASCII chart of the same data.
-fn series_block(results: &[ScenarioResult], series: impl Fn(&ScenarioResult) -> TimeSeries) -> String {
+fn series_block(
+    results: &[ScenarioResult],
+    series: impl Fn(&ScenarioResult) -> TimeSeries,
+) -> String {
     let columns: Vec<(String, TimeSeries)> =
         results.iter().map(|r| (r.scenario.to_string(), series(r))).collect();
-    let period_mins = columns
-        .first()
-        .map(|(_, s)| s.period().as_millis() / 60_000)
-        .unwrap_or(5)
-        .max(1);
+    let period_mins =
+        columns.first().map(|(_, s)| s.period().as_millis() / 60_000).unwrap_or(5).max(1);
     let stride = usize::try_from((30 / period_mins).max(1)).expect("at most 30");
     let thinned: Vec<(String, TimeSeries)> =
         columns.into_iter().map(|(name, s)| (name, s.thin(stride))).collect();

@@ -38,5 +38,5 @@ pub mod sweep;
 
 pub use catalog::Scenario;
 pub use figures::Campaign;
-pub use runner::{Runner, RunStats, ScenarioResult};
+pub use runner::{RunStats, Runner, ScenarioResult};
 pub use sweep::{loss_sweep, SweepPoint};

@@ -202,11 +202,9 @@ impl Runner {
     pub fn schedule_for(&self, scenario: Scenario) -> aria_workload::SubmissionSchedule {
         let schedule = scenario.submission_schedule();
         match self.jobs {
-            Some(jobs) => aria_workload::SubmissionSchedule::new(
-                schedule.start(),
-                schedule.interval(),
-                jobs,
-            ),
+            Some(jobs) => {
+                aria_workload::SubmissionSchedule::new(schedule.start(), schedule.interval(), jobs)
+            }
             None => schedule,
         }
     }

@@ -474,16 +474,24 @@ impl<E> EventQueue<E> {
             }
             if let Some((tail, ..)) = prev {
                 if self.tails[list] != tail {
-                    return Err(format!("list {list} ends at slot {tail}, tail says {}", self.tails[list]));
+                    return Err(format!(
+                        "list {list} ends at slot {tail}, tail says {}",
+                        self.tails[list]
+                    ));
                 }
                 if list != 0 && Some(self.mins[list]) != min {
-                    return Err(format!("list {list} tracks minimum {}, holds {min:?}", self.mins[list]));
+                    return Err(format!(
+                        "list {list} tracks minimum {}, holds {min:?}",
+                        self.mins[list]
+                    ));
                 }
             }
             if list != 0 {
                 let (level, digit) = Self::mask_bit(list);
                 if (self.digit_masks[level] >> digit & 1 == 1) != prev.is_some() {
-                    return Err(format!("digit mask of level {level} is wrong about digit {digit}"));
+                    return Err(format!(
+                        "digit mask of level {level} is wrong about digit {digit}"
+                    ));
                 }
             }
         }
@@ -670,10 +678,7 @@ mod tests {
         q.schedule(SimTime::from_secs(1), 'a');
         let mut seen: Vec<(SimTime, char)> = q.iter().map(|(t, &e)| (t, e)).collect();
         seen.sort();
-        assert_eq!(
-            seen,
-            [(SimTime::from_secs(1), 'a'), (SimTime::from_secs(2), 'b')]
-        );
+        assert_eq!(seen, [(SimTime::from_secs(1), 'a'), (SimTime::from_secs(2), 'b')]);
         assert_eq!(q.len(), 2, "iteration must not consume");
     }
 
@@ -708,8 +713,10 @@ mod tests {
         let rest: Vec<(SimTime, u64)> = std::iter::from_fn(|| q.pop()).collect();
         let mut expected = rest.clone();
         expected.sort_by_key(|&(t, e)| (t, e));
-        assert_eq!(rest.iter().map(|r| r.0).collect::<Vec<_>>(),
-                   expected.iter().map(|r| r.0).collect::<Vec<_>>());
+        assert_eq!(
+            rest.iter().map(|r| r.0).collect::<Vec<_>>(),
+            expected.iter().map(|r| r.0).collect::<Vec<_>>()
+        );
         assert!(rest.iter().all(|(_, e)| e % 2 == 0));
     }
 
@@ -746,8 +753,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(2), 'a');
         q.schedule(SimTime::from_secs(2), 'b');
-        let mut seen: Vec<(SimTime, u64, char)> =
-            q.entries().map(|(t, s, &e)| (t, s, e)).collect();
+        let mut seen: Vec<(SimTime, u64, char)> = q.entries().map(|(t, s, &e)| (t, s, e)).collect();
         seen.sort();
         assert_eq!(seen.len(), 2);
         assert!(seen[0].1 < seen[1].1, "seq must break the tie");

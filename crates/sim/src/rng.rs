@@ -35,12 +35,8 @@ impl SimRng {
     /// Creates a generator from a 64-bit seed.
     pub fn seed_from(seed: u64) -> Self {
         let mut s = seed;
-        let state = [
-            splitmix64(&mut s),
-            splitmix64(&mut s),
-            splitmix64(&mut s),
-            splitmix64(&mut s),
-        ];
+        let state =
+            [splitmix64(&mut s), splitmix64(&mut s), splitmix64(&mut s), splitmix64(&mut s)];
         SimRng { state }
     }
 

@@ -54,7 +54,8 @@ impl Summary {
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
         let mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 += other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
+        self.m2 +=
+            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
         self.mean = mean;
         self.count = total;
         self.min = self.min.min(other.min);

@@ -67,7 +67,12 @@ impl ClampedNormal {
     /// # Panics
     ///
     /// Panics if `min > max`.
-    pub fn new(mean: SimDuration, std_dev: SimDuration, min: SimDuration, max: SimDuration) -> Self {
+    pub fn new(
+        mean: SimDuration,
+        std_dev: SimDuration,
+        min: SimDuration,
+        max: SimDuration,
+    ) -> Self {
         assert!(min <= max, "clamp range is inverted");
         ClampedNormal { mean, std_dev, min, max }
     }
@@ -111,9 +116,7 @@ impl ClampedNormal {
     /// Samples a duration.
     pub fn sample(&self, rng: &mut SimRng) -> SimDuration {
         let value = rng.normal(self.mean.as_secs_f64(), self.std_dev.as_secs_f64());
-        SimDuration::from_secs_f64(value)
-            .max(self.min)
-            .min(self.max)
+        SimDuration::from_secs_f64(value).max(self.min).min(self.max)
     }
 }
 

@@ -215,7 +215,8 @@ mod tests {
     #[test]
     fn generate_feasible_without_flag_does_not_resample() {
         let mut rng = SimRng::seed_from(6);
-        let config = JobGeneratorConfig { ensure_feasible: false, ..JobGeneratorConfig::paper_batch() };
+        let config =
+            JobGeneratorConfig { ensure_feasible: false, ..JobGeneratorConfig::paper_batch() };
         let mut generator = JobGenerator::new(config);
         // Empty grid: nothing can match, but generation still succeeds.
         let job = generator.generate_feasible(SimTime::ZERO, &[], &mut rng);

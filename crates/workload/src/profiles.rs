@@ -53,8 +53,7 @@ mod tests {
     fn profiles_respect_all_distributions() {
         let mut rng = SimRng::seed_from(8);
         let profiles = ProfileGenerator::paper().generate_many(20_000, &mut rng);
-        let amd64 =
-            profiles.iter().filter(|p| p.arch == Architecture::Amd64).count() as f64;
+        let amd64 = profiles.iter().filter(|p| p.arch == Architecture::Amd64).count() as f64;
         assert!((amd64 / profiles.len() as f64 - 0.872).abs() < 0.01);
         for p in &profiles {
             assert!([1, 2, 4, 8, 16].contains(&p.memory_gb));

@@ -3,8 +3,7 @@
 
 use aria_sim::{SimDuration, SimRng, SimTime};
 use aria_workload::{
-    ArtModel, ClampedNormal, JobGenerator, JobGeneratorConfig, ProfileGenerator,
-    SubmissionSchedule,
+    ArtModel, ClampedNormal, JobGenerator, JobGeneratorConfig, ProfileGenerator, SubmissionSchedule,
 };
 use proptest::prelude::*;
 

@@ -28,11 +28,11 @@
 //! the `aria-probe` JSONL schema (`--shrink-out`), so `cargo xtask probe
 //! timeline` can visualise the counterexample.
 
+use crate::flag_value;
 use aria_core::{FaultPlan, PartitionWindow, World, WorldConfig};
 use aria_probe::{NullProbe, Probe, RingRecorder, TraceMeta};
 use aria_sim::{SimDuration, SimRng, SimTime};
 use aria_workload::{JobGenerator, SubmissionSchedule};
-use crate::flag_value;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo xtask chaos [--schedules N] [--seed N] [--nodes N] [--jobs N] \
@@ -392,7 +392,10 @@ fn self_check_shrinker(out: Option<&str>) -> ExitCode {
         let mut candidate = kept.clone();
         candidate.remove(i);
         if case.execute_plain(Some(candidate)).verdict.is_err() {
-            eprintln!("chaos --self-check: keep-list is not 1-minimal (index {} removable)", kept[i]);
+            eprintln!(
+                "chaos --self-check: keep-list is not 1-minimal (index {} removable)",
+                kept[i]
+            );
             return ExitCode::FAILURE;
         }
     }

@@ -12,8 +12,8 @@
 //! Exit status is non-zero when a property is violated; the counterexample
 //! is printed as a minimal replayable action trace.
 
-use aria_model::{Explorer, ModelConfig, Property};
 use crate::flag_value;
+use aria_model::{Explorer, ModelConfig, Property};
 use std::process::ExitCode;
 
 /// Parses the CLI flags and runs the exploration.

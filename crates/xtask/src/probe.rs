@@ -73,7 +73,11 @@ fn run_scenario(args: &[String]) -> ExitCode {
                 let Some(name) = iter.next() else { return fail("--scenario needs a name") };
                 match Scenario::from_name(name) {
                     Some(s) => scenario = s,
-                    None => return fail(&format!("unknown scenario `{name}` (paper names, e.g. iMixed)")),
+                    None => {
+                        return fail(&format!(
+                            "unknown scenario `{name}` (paper names, e.g. iMixed)"
+                        ))
+                    }
                 }
             }
             "--seed" => {
@@ -201,7 +205,10 @@ fn summary(args: &[String]) -> ExitCode {
     let [path] = args else { return fail("summary needs exactly one TRACE.jsonl path") };
     match load(path) {
         Ok(trace) => {
-            println!("{} seed {} ({} nodes, {} jobs)", trace.meta.scenario, trace.meta.seed, trace.meta.nodes, trace.meta.jobs);
+            println!(
+                "{} seed {} ({} nodes, {} jobs)",
+                trace.meta.scenario, trace.meta.seed, trace.meta.nodes, trace.meta.jobs
+            );
             print!("{}", aria_probe::summarize(&trace).render());
             ExitCode::SUCCESS
         }

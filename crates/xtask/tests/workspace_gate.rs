@@ -17,9 +17,8 @@ fn member_manifests(root: &Path) -> Vec<PathBuf> {
     let mut manifests = Vec::new();
     for group in ["crates", "vendor"] {
         let entries = std::fs::read_dir(root.join(group)).expect("member directory");
-        manifests.extend(
-            entries.flatten().map(|e| e.path().join("Cargo.toml")).filter(|p| p.is_file()),
-        );
+        manifests
+            .extend(entries.flatten().map(|e| e.path().join("Cargo.toml")).filter(|p| p.is_file()));
     }
     manifests.sort();
     manifests

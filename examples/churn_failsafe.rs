@@ -18,8 +18,7 @@ fn run(failsafe: bool) {
 
     let mut world = World::new(config, 17);
     let mut jobs = JobGenerator::paper_batch();
-    let schedule =
-        SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(15), 300);
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(15), 300);
     world.submit_schedule(&schedule, &mut jobs);
     world.run();
 

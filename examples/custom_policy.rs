@@ -24,8 +24,7 @@ fn run_with(policies: PolicyMix, label: &str, reservations: Option<ReservationPl
     let mut world = World::new(config, 11);
     let mut jobs = JobGenerator::paper_batch();
     // A brisk workload so queues build up and policy order matters.
-    let schedule =
-        SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(10), 300);
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(10), 300);
     world.submit_schedule(&schedule, &mut jobs);
     world.run();
     let metrics = world.metrics();

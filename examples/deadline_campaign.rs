@@ -12,12 +12,8 @@ fn main() {
     let runner = Runner::scaled(150, 400);
     let seeds = [1, 2, 3];
 
-    let scenarios = [
-        Scenario::Deadline,
-        Scenario::IDeadline,
-        Scenario::DeadlineH,
-        Scenario::IDeadlineH,
-    ];
+    let scenarios =
+        [Scenario::Deadline, Scenario::IDeadline, Scenario::DeadlineH, Scenario::IDeadlineH];
     let results = runner.run_many(&scenarios, &seeds);
 
     println!("scenario     missed  avg lateness  avg missed time");
@@ -39,7 +35,5 @@ fn main() {
         "\nrescheduling cuts misses: soft {soft_plain:.1} -> {soft_resched:.1}, \
          tight {hard_plain:.1} -> {hard_resched:.1}"
     );
-    println!(
-        "(the paper reports 187 -> 4 and 236 -> 59 at full 500-node scale)"
-    );
+    println!("(the paper reports 187 -> 4 and 236 -> 59 at full 500-node scale)");
 }

@@ -18,10 +18,7 @@ fn main() {
 
     // Show what "heterogeneous" means: architectures, operating systems
     // and local schedulers all vary per node.
-    let world = aria_core::World::new(
-        Scenario::IMixed.world_config(),
-        seeds[0],
-    );
+    let world = aria_core::World::new(Scenario::IMixed.world_config(), seeds[0]);
     let sample: Vec<String> = (0..5)
         .map(|i| {
             let node = NodeId::new(i);

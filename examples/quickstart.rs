@@ -25,8 +25,7 @@ fn main() {
 
     // 2. Submit 200 randomly generated batch jobs, one every 30 seconds.
     let mut jobs = JobGenerator::paper_batch();
-    let schedule =
-        SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(30), 200);
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(30), 200);
     world.submit_schedule(&schedule, &mut jobs);
 
     // 3. Run the discrete-event simulation to completion.

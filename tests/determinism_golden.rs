@@ -9,7 +9,7 @@
 //! instead of silently invalidating previous results.
 
 use aria_metrics::TrafficClass;
-use aria_scenarios::{Runner, RunStats, Scenario};
+use aria_scenarios::{RunStats, Runner, Scenario};
 
 fn run(seed: u64) -> RunStats {
     Runner::scaled(30, 15).run_once(Scenario::IMixed, seed)

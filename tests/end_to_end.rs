@@ -13,8 +13,7 @@ fn loaded_world(rescheduling: bool, seed: u64) -> World {
     config.aria.rescheduling = rescheduling;
     let mut world = World::new(config, seed);
     let mut jobs = JobGenerator::paper_batch();
-    let schedule =
-        SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(15), 200);
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(15), 200);
     world.submit_schedule(&schedule, &mut jobs);
     world
 }
@@ -131,8 +130,7 @@ fn distributed_protocol_approaches_central_baseline() {
         5,
     );
     let mut jobs = JobGenerator::paper_batch();
-    let schedule =
-        SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(15), 200);
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(15), 200);
     central.submit_schedule(&schedule, &mut jobs);
     central.run();
     let central_mean = central.metrics().completion_summary().mean();
@@ -159,8 +157,7 @@ fn multireq_baseline_completes_but_wastes_replicas() {
         8,
     );
     let mut jobs = JobGenerator::paper_batch();
-    let schedule =
-        SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(15), 200);
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(15), 200);
     grid.submit_schedule(&schedule, &mut jobs);
     grid.run();
     assert_eq!(grid.metrics().completed_count(), 200);
@@ -194,14 +191,12 @@ fn scenario_catalog_runs_at_reduced_scale() {
 #[test]
 fn expanding_grid_uses_new_nodes() {
     let mut config = WorldConfig::small_test(60);
-    config.joins = (0..30u64)
-        .map(|i| SimTime::from_mins(20) + SimDuration::from_mins(2) * i)
-        .collect();
+    config.joins =
+        (0..30u64).map(|i| SimTime::from_mins(20) + SimDuration::from_mins(2) * i).collect();
     let mut world = World::new(config, 6);
     let mut jobs = JobGenerator::paper_batch();
     // Sustained pressure so late joiners still see waiting jobs.
-    let schedule =
-        SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(20), 250);
+    let schedule = SubmissionSchedule::new(SimTime::from_mins(5), SimDuration::from_secs(20), 250);
     world.submit_schedule(&schedule, &mut jobs);
     world.run();
     assert_eq!(world.topology().len(), 90);

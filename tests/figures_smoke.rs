@@ -12,8 +12,20 @@ fn campaign() -> Campaign {
 fn every_artifact_renders() {
     let mut c = campaign();
     for id in [
-        "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-        "fig10", "baselines", "ablations",
+        "table1",
+        "table2",
+        "fig1",
+        "fig2",
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "fig10",
+        "baselines",
+        "ablations",
     ] {
         let out = c.render(id).unwrap_or_else(|| panic!("unknown id {id}"));
         assert!(!out.is_empty(), "{id} rendered empty");
@@ -42,23 +54,11 @@ fn fig1_reaches_total_jobs_in_all_policies() {
 fn fig2_rescheduling_beats_plain_for_sjf_and_mixed() {
     let runner = Runner::scaled(50, 120);
     let seeds = [1, 2, 3];
-    let results = runner.run_many(
-        &[Scenario::Sjf, Scenario::ISjf, Scenario::Mixed, Scenario::IMixed],
-        &seeds,
-    );
+    let results = runner
+        .run_many(&[Scenario::Sjf, Scenario::ISjf, Scenario::Mixed, Scenario::IMixed], &seeds);
     let mean = |i: usize| results[i].completion().mean();
-    assert!(
-        mean(1) < mean(0),
-        "iSJF ({:.0}s) should beat SJF ({:.0}s)",
-        mean(1),
-        mean(0)
-    );
-    assert!(
-        mean(3) < mean(2),
-        "iMixed ({:.0}s) should beat Mixed ({:.0}s)",
-        mean(3),
-        mean(2)
-    );
+    assert!(mean(1) < mean(0), "iSJF ({:.0}s) should beat SJF ({:.0}s)", mean(1), mean(0));
+    assert!(mean(3) < mean(2), "iMixed ({:.0}s) should beat Mixed ({:.0}s)", mean(3), mean(2));
 }
 
 #[test]
@@ -127,10 +127,8 @@ fn ablations_artifact_renders_every_variant() {
 #[test]
 fn fig9_accuracy_scenarios_stay_feasible() {
     let runner = Runner::scaled(40, 40);
-    let results = runner.run_many(
-        &[Scenario::IPrecise, Scenario::IAccuracy25, Scenario::IAccuracyBad],
-        &[3],
-    );
+    let results =
+        runner.run_many(&[Scenario::IPrecise, Scenario::IAccuracy25, Scenario::IAccuracyBad], &[3]);
     for r in &results {
         assert_eq!(r.runs[0].completed, 40, "{} lost jobs", r.scenario);
     }

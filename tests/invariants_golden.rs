@@ -47,11 +47,7 @@ fn assert_identical(checked: &RunStats, plain: &RunStats, label: &str) {
         plain.completed_series.values(),
         "{label}: completed series"
     );
-    assert_eq!(
-        checked.idle_series.values(),
-        plain.idle_series.values(),
-        "{label}: idle series"
-    );
+    assert_eq!(checked.idle_series.values(), plain.idle_series.values(), "{label}: idle series");
     assert_eq!(checked.deadline.met(), plain.deadline.met(), "{label}: deadlines met");
     assert_eq!(checked.deadline.missed(), plain.deadline.missed(), "{label}: deadlines missed");
 }

@@ -21,7 +21,7 @@ use aria_probe::{
     first_divergence, lifecycles, schema, summarize, MsgKind, ProbeEvent, RingRecorder, Trace,
     TraceMeta,
 };
-use aria_scenarios::{Runner, RunStats, Scenario};
+use aria_scenarios::{RunStats, Runner, Scenario};
 use aria_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -96,7 +96,8 @@ fn faulty_run_exports_pinned_jsonl_through_every_failure_path() {
         keep: None,
     };
     config.crashes = vec![SimTime::from_secs(1330), SimTime::from_mins(60)];
-    let (_, world) = runner.run_config(Scenario::IMixed, config, 12, false, RingRecorder::default());
+    let (_, world) =
+        runner.run_config(Scenario::IMixed, config, 12, false, RingRecorder::default());
     let meta = TraceMeta { scenario: Scenario::IMixed.to_string(), seed: 12, nodes: 30, jobs: 15 };
     let trace = world.into_probe().into_trace(meta);
     assert_eq!(trace.dropped, 0, "a scaled run must fit the default ring");
