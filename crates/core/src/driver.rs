@@ -1234,12 +1234,10 @@ impl NodeDriver {
         if !self.cfg.aria.rescheduling {
             return;
         }
-        let candidates = self.queue.inform_candidates(now, self.cfg.aria.inform_batch);
-        for job in candidates {
+        for (job, cost) in self.queue.inform_offers(now, self.cfg.aria.inform_batch) {
             let Some(spec) = self.books.get(&job).map(|b| b.spec) else {
                 continue;
             };
-            let cost = self.queue.cost_of_waiting(job, now).expect("inform candidate has a cost");
             let flood = self.next_flood();
             out.push(Output::Probe(ProbeEvent::InformRound {
                 job,

@@ -15,7 +15,7 @@
 //! point from its send instant onward. The checker therefore treats the
 //! event queue as two pools:
 //!
-//! * **Deliveries** — every pending [`Event::Deliver`] is enabled, in
+//! * **Deliveries** — every pending `Event::Deliver` is enabled, in
 //!   any order. Acting on one keeps the clock (the delivery happens
 //!   "now"; under [`crate::NetModel::Lockstep`] all sends carry zero
 //!   latency, so pending deliveries are never post-dated).

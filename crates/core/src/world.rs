@@ -24,8 +24,8 @@
 //! ## Hot-path representation
 //!
 //! One run processes millions of events, most of them flood hops, so the
-//! per-event state is dense and allocation-free (see [`crate::dense`]'s
-//! module docs for the tables themselves):
+//! per-event state is dense and allocation-free (see the private `dense`
+//! module's docs for the tables themselves):
 //!
 //! * Job specs are interned once at submission in a `Vec`-backed job
 //!   table (which also carries each job's initiator, assignee and open
@@ -541,7 +541,7 @@ impl<P: Probe> World<P> {
     ///   below assignments, and a world with rescheduling disabled never
     ///   records a reschedule (the PR-1 stale-ACCEPT regression).
     ///
-    /// [`World::run`] calls this every [`INVARIANT_STRIDE`] events in
+    /// [`World::run`] calls this every `INVARIANT_STRIDE` (64) events in
     /// debug builds (and once after the queue drains);
     /// [`World::run_checked`] calls it after every event in every
     /// profile. Cost is `O(nodes + jobs + pending events)`.
@@ -1317,15 +1317,9 @@ impl<P: Probe> World<P> {
         if now > self.config.horizon || !self.nodes[node.index()].alive {
             return; // stop the periodic chain
         }
-        let candidates = {
-            let state = &self.nodes[node.index()];
-            state.queue.inform_candidates(now, self.config.aria.inform_batch)
-        };
-        for id in candidates {
-            let cost = self.nodes[node.index()]
-                .queue
-                .cost_of_waiting(id, now)
-                .expect("inform candidate has a cost");
+        let offers =
+            self.nodes[node.index()].queue.inform_offers(now, self.config.aria.inform_batch);
+        for (id, cost) in offers {
             let flood = self.floods.alloc(node, self.nodes.len());
             self.probe.record(
                 now,

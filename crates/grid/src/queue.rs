@@ -340,11 +340,7 @@ impl SchedulerQueue {
         match self.policy.cost_kind() {
             CostKind::Ettc => self.ettc_of_waiting(id, now).map(Cost::from_ettc),
             CostKind::Nal => {
-                if self.is_waiting(id) {
-                    Some(Cost::from_nal(self.nal_of_queue(now, None)))
-                } else {
-                    None
-                }
+                self.is_waiting(id).then(|| Cost::from_nal(nal(self.completions(now, None))))
             }
         }
     }
@@ -359,20 +355,17 @@ impl SchedulerQueue {
         profile: &NodeProfile,
     ) -> SimDuration {
         let candidate = QueuedJob { spec: *spec, enqueued_at: now, ertp: profile.ert_on(spec.ert) };
-        let completions = self.simulated_completions(now, Some(candidate));
-        let (_, etc) = completions
-            .into_iter()
-            .find(|(id, _)| *id == spec.id)
+        let (_, etc) = self
+            .completions(now, Some(&candidate))
+            .find(|(job, _)| job.spec.id == spec.id)
             .expect("candidate appears in its own simulation");
         etc.saturating_since(now)
     }
 
     /// ETTC of a job already waiting in the queue, or `None` if absent.
     pub fn ettc_of_waiting(&self, id: JobId, now: SimTime) -> Option<SimDuration> {
-        let completions = self.simulated_completions(now, None);
-        completions
-            .into_iter()
-            .find(|(job, _)| *job == id)
+        self.completions(now, None)
+            .find(|(job, _)| job.spec.id == id)
             .map(|(_, etc)| etc.saturating_since(now))
     }
 
@@ -389,112 +382,57 @@ impl SchedulerQueue {
     /// strongly negative, a queue with misses is positive.
     pub fn nal_of_candidate(&self, spec: &JobSpec, now: SimTime, profile: &NodeProfile) -> i64 {
         let candidate = QueuedJob { spec: *spec, enqueued_at: now, ertp: profile.ert_on(spec.ert) };
-        self.nal_of_queue(now, Some(candidate))
+        nal(self.completions(now, Some(&candidate)))
     }
 
-    /// NAL of the queue as it stands, optionally with an extra candidate
-    /// inserted at its policy position.
-    fn nal_of_queue(&self, now: SimTime, extra: Option<QueuedJob>) -> i64 {
-        let deadlines: Vec<Option<SimTime>> =
-            self.ordered_jobs(extra.as_ref()).map(|job| job.spec.deadline).collect();
-        let lateness: Vec<i64> = self
-            .simulated_completions(now, extra)
-            .into_iter()
-            .zip(deadlines)
-            .map(|((_, etc), deadline)| {
-                // A job without a deadline is treated as always on time
-                // with zero slack: it occupies executor time but
-                // contributes no lateness of its own.
-                deadline.map_or(0, |d| d.signed_delta(etc))
-            })
-            .collect();
-        let all_on_time = lateness.iter().all(|&g| g >= 0);
-        lateness
-            .iter()
-            .map(|&g| {
-                if all_on_time {
-                    -g.abs()
-                } else if g >= 0 {
-                    0
-                } else {
-                    g.abs()
-                }
-            })
-            .sum()
-    }
-
-    /// The waiting jobs in execution order, with `extra` spliced in at
-    /// its policy position.
-    fn ordered_jobs<'a>(
+    /// The waiting jobs in execution order, `extra` spliced in at its
+    /// policy position, each with its Estimated Time of Completion: the
+    /// one model behind every ETTC and NAL quote and every INFORM pick.
+    ///
+    /// Dispatch is simulated lazily from the end of the running job. With
+    /// an empty calendar this is exactly the paper's model: remaining
+    /// running time plus the `ERTp`s of the jobs ahead. With reservations,
+    /// each job starts at its earliest fitting gap (sequential walk;
+    /// dynamic backfill reordering is not anticipated in the estimate).
+    fn completions<'a>(
         &'a self,
+        now: SimTime,
         extra: Option<&'a QueuedJob>,
-    ) -> impl Iterator<Item = &'a QueuedJob> {
-        let extra_pos = extra.map(|e| self.insertion_index(&e.spec));
-        let n = self.waiting.len();
-        (0..n + usize::from(extra.is_some())).map(move |i| match (extra, extra_pos) {
-            (Some(e), Some(pos)) => {
-                if i < pos {
-                    &self.waiting[i]
-                } else if i == pos {
-                    e
-                } else {
-                    &self.waiting[i - 1]
-                }
-            }
-            _ => &self.waiting[i],
+    ) -> impl Iterator<Item = (&'a QueuedJob, SimTime)> {
+        let at = extra.map_or(self.waiting.len(), |e| self.insertion_index(&e.spec));
+        let (ahead, rest) = self.waiting.split_at(at);
+        let mut t = now + self.remaining_running(now);
+        ahead.iter().chain(extra).chain(rest).map(move |job| {
+            t = self.calendar.earliest_fit(t, job.ertp) + job.ertp;
+            (job, t)
         })
     }
 
-    /// Simulates dispatch of the waiting queue (plus an optional extra
-    /// candidate at its policy position), honoring the remaining running
-    /// time and the reservation calendar, and returns the Estimated Time
-    /// of Completion of every job in execution order.
-    ///
-    /// With an empty calendar this reduces exactly to the paper's model:
-    /// remaining running time plus the `ERTp`s of the jobs ahead. With
-    /// reservations, each job starts at its earliest fitting gap
-    /// (sequential FCFS walk; dynamic backfill reordering is not
-    /// anticipated in the estimate).
-    fn simulated_completions(
-        &self,
-        now: SimTime,
-        extra: Option<QueuedJob>,
-    ) -> Vec<(JobId, SimTime)> {
-        let mut t = now + self.remaining_running(now);
-        let mut out = Vec::with_capacity(self.waiting.len() + 1);
-        for job in self.ordered_jobs(extra.as_ref()) {
-            let start = self.calendar.earliest_fit(t, job.ertp);
-            t = start + job.ertp;
-            out.push((job.spec.id, t));
-        }
-        out
-    }
-
     /// The waiting jobs an assignee should advertise for rescheduling,
-    /// best candidates first, at most `limit` of them (§III-D):
-    /// batch policies pick the longest-waiting jobs, deadline policies
-    /// the jobs with the least slack.
-    pub fn inform_candidates(&self, now: SimTime, limit: usize) -> Vec<JobId> {
-        let mut keyed: Vec<(i64, JobId)> = match self.policy.cost_kind() {
-            CostKind::Ettc => self
-                .waiting
-                .iter()
-                .map(|j| (-(now.saturating_since(j.enqueued_at).as_millis() as i64), j.spec.id))
-                .collect(),
-            CostKind::Nal => {
-                let mut etc = now + self.remaining_running(now);
-                self.waiting
-                    .iter()
-                    .map(|j| {
-                        etc += j.ertp;
-                        let gamma = j.spec.deadline.map_or(i64::MAX, |d| d.signed_delta(etc));
-                        (gamma, j.spec.id)
-                    })
-                    .collect()
-            }
+    /// best candidates first, at most `limit` of them, each with the cost
+    /// it is advertised at (§III-D): batch policies pick the
+    /// longest-waiting jobs at their ETTC, deadline policies the jobs with
+    /// the least slack at the queue's NAL. Ties go to the smaller id.
+    pub fn inform_offers(&self, now: SimTime, limit: usize) -> Vec<(JobId, Cost)> {
+        if self.waiting.is_empty() {
+            // Most ticks of a large grid find an empty queue; answer them
+            // without reading the executor state or collecting the walk.
+            return Vec::new();
+        }
+        let mut walk: Vec<_> = self.completions(now, None).collect();
+        let queue_nal = match self.policy.cost_kind() {
+            CostKind::Ettc => None,
+            CostKind::Nal => Some(Cost::from_nal(nal(walk.iter().copied()))),
         };
-        keyed.sort_by_key(|&(key, id)| (key, id));
-        keyed.into_iter().take(limit).map(|(_, id)| id).collect()
+        walk.sort_unstable_by_key(|&(job, etc)| {
+            let key = match queue_nal {
+                None => -(now.saturating_since(job.enqueued_at).as_millis() as i64),
+                Some(_) => job.spec.deadline.map_or(i64::MAX, |d| d.signed_delta(etc)),
+            };
+            (key, job.spec.id)
+        });
+        let price = |etc: SimTime| queue_nal.unwrap_or(Cost::from_ettc(etc.saturating_since(now)));
+        walk.into_iter().take(limit).map(|(job, etc)| (job.spec.id, price(etc))).collect()
     }
 
     /// The ordering key a job sorts by under this queue's policy
@@ -549,6 +487,24 @@ impl SchedulerQueue {
                 running.spec.id,
             );
         }
+    }
+}
+
+/// NAL (§III-C) of jobs paired with their ETCs: minus the total slack
+/// when every job is on time, else the total lateness of the late jobs.
+/// A job without a deadline is on time with zero slack: it occupies
+/// executor time but contributes no lateness of its own.
+fn nal<'a>(completions: impl Iterator<Item = (&'a QueuedJob, SimTime)>) -> i64 {
+    let (slack, late) = completions.fold((0, 0), |(slack, late), (job, etc)| {
+        match job.spec.deadline.map_or(0, |d| d.signed_delta(etc)) {
+            gamma if gamma >= 0 => (slack + gamma, late),
+            gamma => (slack, late - gamma),
+        }
+    });
+    if late == 0 {
+        -slack
+    } else {
+        late
     }
 }
 
@@ -815,8 +771,10 @@ mod tests {
         q.enqueue(batch(1, 1), SimTime::from_mins(0), &p);
         q.enqueue(batch(2, 1), SimTime::from_mins(30), &p);
         q.enqueue(batch(3, 1), SimTime::from_mins(10), &p);
-        let picks = q.inform_candidates(SimTime::from_hours(1), 2);
-        assert_eq!(picks, [JobId::new(1), JobId::new(3)]);
+        let offers = q.inform_offers(SimTime::from_hours(1), 2);
+        // Each pick is advertised at its own ETTC: job 1 ends at 2h, job 3 at 4h.
+        let hours = |h| Cost::from_ettc(SimDuration::from_hours(h));
+        assert_eq!(offers, [(JobId::new(1), hours(1)), (JobId::new(3), hours(3))]);
     }
 
     #[test]
@@ -826,19 +784,35 @@ mod tests {
         q.enqueue(deadline(1, 2, 30), SimTime::ZERO, &p);
         q.enqueue(deadline(2, 2, 5), SimTime::ZERO, &p);
         q.enqueue(deadline(3, 2, 10), SimTime::ZERO, &p);
-        let picks = q.inform_candidates(SimTime::ZERO, 2);
+        let offers = q.inform_offers(SimTime::ZERO, 2);
         // EDF order: 2 (ETC 2h, slack 3h), 3 (ETC 4h, slack 6h), 1 (ETC 6h, slack 24h).
+        let picks: Vec<JobId> = offers.iter().map(|&(id, _)| id).collect();
         assert_eq!(picks, [JobId::new(2), JobId::new(3)]);
+        // Every pick is advertised at the queue's NAL: -(3h + 6h + 24h).
+        assert!(offers.iter().all(|&(_, cost)| cost == Cost::from_nal(-33 * 3_600_000)));
     }
 
     #[test]
     fn inform_candidates_respects_limit_and_empty() {
         let q = SchedulerQueue::new(Policy::Fcfs);
-        assert!(q.inform_candidates(SimTime::ZERO, 2).is_empty());
+        assert!(q.inform_offers(SimTime::ZERO, 2).is_empty());
         let mut q = SchedulerQueue::new(Policy::Fcfs);
         q.enqueue(batch(1, 1), SimTime::ZERO, &profile());
-        assert_eq!(q.inform_candidates(SimTime::from_mins(1), 4).len(), 1);
-        assert!(q.inform_candidates(SimTime::from_mins(1), 0).is_empty());
+        assert_eq!(q.inform_offers(SimTime::from_mins(1), 4).len(), 1);
+        assert!(q.inform_offers(SimTime::from_mins(1), 0).is_empty());
+    }
+
+    #[test]
+    fn inform_offers_edf_slack_honours_reservations() {
+        let mut q = SchedulerQueue::new(Policy::Edf);
+        let p = profile();
+        q.add_reservation(Reservation::new(SimTime::from_hours(2), SimTime::from_hours(11)))
+            .unwrap();
+        q.enqueue(deadline(1, 2, 10), SimTime::ZERO, &p); // A: runs first, ends 2h, slack 8h
+        q.enqueue(deadline(2, 1, 12), SimTime::ZERO, &p); // B: pushed past the window to 12h, slack 0
+                                                          // A calendar-blind model would see B end at 3h (slack 9h) and pick A.
+        let offers = q.inform_offers(SimTime::ZERO, 1);
+        assert_eq!(offers, [(JobId::new(2), Cost::from_nal(-8 * 3_600_000))]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use aria_grid::{
     Architecture, Cost, JobId, JobPriority, JobRequirements, JobSpec, NodeProfile, OperatingSystem,
-    PerfIndex, Policy, SchedulerQueue,
+    PerfIndex, Policy, Reservation, SchedulerQueue,
 };
 use aria_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -60,6 +60,31 @@ fn policy_key(policy: Policy, spec: &JobSpec) -> i64 {
         Policy::Priority => -(spec.priority.0 as i64),
         Policy::Edf => spec.deadline.map_or(i64::MAX, |d| d.as_millis() as i64),
     }
+}
+
+/// The paper's NAL (§III-C) over a queue's execution order, with ETCs
+/// from prefix sums of the `ERTp`s after `start`:
+/// `Σ δ·|γ|` with `γ = deadline − ETC` (0 without a deadline) and
+/// `δ = −1` when every `γ ≥ 0`, else `0` for on-time and `1` for late jobs.
+fn reference_nal(queue: &SchedulerQueue, start: SimTime) -> i64 {
+    let mut etc = start;
+    let gammas: Vec<i64> = queue
+        .waiting()
+        .iter()
+        .map(|job| {
+            etc += job.ertp;
+            job.spec.deadline.map_or(0, |d| d.signed_delta(etc))
+        })
+        .collect();
+    let all_on_time = gammas.iter().all(|&g| g >= 0);
+    gammas
+        .iter()
+        .map(|&g| match (all_on_time, g >= 0) {
+            (true, _) => -g.abs(),
+            (false, true) => 0,
+            (false, false) => g.abs(),
+        })
+        .sum()
 }
 
 proptest! {
@@ -221,5 +246,56 @@ proptest! {
         let expected: Vec<JobId> =
             order_before.into_iter().filter(|&id| id != victim).collect();
         prop_assert_eq!(order_after, expected);
+    }
+
+    /// INFORM offers come from the same completion walk as the quotes:
+    /// each advertised cost is the job's `cost_of_waiting`, the picks are
+    /// distinct waiting jobs, and there are `min(k, waiting_len)` of them.
+    /// On an empty calendar, `nal_of_candidate` is the paper's formula.
+    #[test]
+    fn inform_offers_price_like_quotes(
+        jobs in proptest::collection::vec(arb_job(), 0..30),
+        candidate in arb_job(),
+        policy in arb_policy(),
+        reservation in proptest::option::of((0u64..600, 30u64..300)),
+        run_one in any::<bool>(),
+        now_mins in 0u64..600,
+        k in 0usize..8,
+    ) {
+        let p = profile(1.5);
+        let mut queue = SchedulerQueue::new(policy);
+        if let Some((start, mins)) = reservation {
+            let window =
+                Reservation::starting_at(SimTime::from_mins(start), SimDuration::from_mins(mins));
+            queue.add_reservation(window).expect("first reservation never conflicts");
+        }
+        for (i, job) in jobs.iter().enumerate() {
+            if !queue.is_waiting(job.id) {
+                queue.enqueue(*job, SimTime::from_mins(i as u64), &p);
+            }
+        }
+        if run_one {
+            queue.start_next(SimTime::ZERO);
+        }
+        let now = SimTime::from_mins(now_mins);
+
+        let offers = queue.inform_offers(now, k);
+        prop_assert_eq!(offers.len(), k.min(queue.waiting_len()));
+        for (i, &(id, cost)) in offers.iter().enumerate() {
+            prop_assert!(queue.is_waiting(id));
+            prop_assert!(offers[..i].iter().all(|&(other, _)| other != id), "{id} offered twice");
+            prop_assert_eq!(Some(cost), queue.cost_of_waiting(id, now));
+        }
+
+        if reservation.is_none() {
+            let candidate = JobSpec { id: JobId::new(99_999), ..candidate };
+            let mut with_candidate = queue.clone();
+            with_candidate.enqueue(candidate, now, &p);
+            let start = now + queue.remaining_running(now);
+            prop_assert_eq!(
+                queue.nal_of_candidate(&candidate, now, &p),
+                reference_nal(&with_candidate, start)
+            );
+        }
     }
 }
