@@ -1,6 +1,7 @@
 //! The event queue at the heart of the discrete-event engine.
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// A deterministic priority queue of timestamped events.
 ///
@@ -35,6 +36,17 @@ use crate::time::SimTime;
 /// on that key produces. The layout is a pure performance choice with no
 /// effect on determinism (DESIGN.md §9 has the measurements behind it).
 ///
+/// Beside the radix lists sits a *sorted lane*: a FIFO of entries that
+/// [`EventQueue::schedule_sorted`] appends for callers whose timestamps
+/// never decrease, such as a world's periodic per-node timers. The lane
+/// is ascending by `(time, seq)` by construction, so it needs no refiling
+/// at all; `pop` delivers from whichever of the lane front and the radix
+/// front is smaller by `(time, seq)`. Lane entries draw their sequence
+/// numbers from the same counter as `schedule`, so the delivery order is
+/// exactly what scheduling everything through `schedule` would give. An
+/// out-of-order `schedule_sorted` falls back to `schedule`: a wrong
+/// caller is slower, never wrong.
+///
 /// # Example
 ///
 /// ```
@@ -66,6 +78,10 @@ pub struct EventQueue<E> {
     /// list 0 holds exactly the entries with `at == last`. Moves only in
     /// [`EventQueue::pop`].
     last: SimTime,
+    /// The sorted lane: `(at, seq, event)`, strictly ascending by
+    /// `(at, seq)`, never below `last`.
+    lane: VecDeque<(SimTime, u64, E)>,
+    /// Pending events: linked slots plus lane entries.
     len: usize,
     next_seq: u64,
     now: SimTime,
@@ -105,6 +121,7 @@ impl<E> EventQueue<E> {
             level_mask: 0,
             digit_masks: [0; LEVELS],
             last: SimTime::ZERO,
+            lane: VecDeque::new(),
             len: 0,
             next_seq: 0,
             now: SimTime::ZERO,
@@ -113,13 +130,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Reserves room for at least `additional` more pending events, so a
-    /// known burst of schedules (a world's per-node start-up timers) does
-    /// not regrow the slab once per doubling. Capacity only: pop order
-    /// and every observable counter are unaffected.
+    /// Reserves room in the sorted lane for at least `additional` more
+    /// entries than it holds, so a known set of periodic timers (a
+    /// world's one tick per node) fits without regrowing the lane once
+    /// per doubling. Capacity only: pop order and every observable
+    /// counter are unaffected.
     pub fn reserve(&mut self, additional: usize) {
-        let vacant = self.slab.len() - self.len;
-        self.slab.reserve(additional.saturating_sub(vacant));
+        self.lane.reserve(additional);
     }
 
     /// The list an entry with timestamp `at` belongs to under the current
@@ -175,8 +192,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The list holding the earliest pending entry and that entry's
-    /// timestamp, or `None` if the queue is empty. O(1): list 0 if it has
+    /// The list holding the earliest linked entry and that entry's
+    /// timestamp, or `None` if no slot is linked (the sorted lane is not
+    /// consulted). O(1): list 0 if it has
     /// anything, else the lowest digit of the lowest level — every entry
     /// there is smaller than every entry of a higher digit or level.
     #[inline]
@@ -240,6 +258,22 @@ impl<E> EventQueue<E> {
         self.peak = self.peak.max(self.len);
     }
 
+    /// Schedules `event` for delivery at instant `at`, for callers whose
+    /// timestamps never decrease: the entry is appended to the sorted
+    /// lane in O(1) and never refiled. Delivery order is exactly that of
+    /// [`EventQueue::schedule`]. An `at` below the lane's tail or below
+    /// `now` goes through `schedule` instead, with its past-schedule
+    /// guard and clamp accounting.
+    pub fn schedule_sorted(&mut self, at: SimTime, event: E) {
+        if at < self.now || self.lane.back().is_some_and(|&(tail, ..)| at < tail) {
+            return self.schedule(at, event);
+        }
+        self.lane.push_back((at, self.next_seq, event));
+        self.next_seq += 1;
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
+    }
+
     /// How many events were scheduled in the past and clamped to `now`.
     ///
     /// Always zero in a causally sound simulation; see
@@ -251,57 +285,99 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event together with its timestamp,
     /// advancing the queue clock, or `None` if the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (list, at) = self.front()?;
-        Some(self.pop_front(list, at))
+        self.pop_due(SimTime::from_millis(u64::MAX))
     }
 
     /// Like [`EventQueue::pop`], but leaves the queue untouched and
     /// returns `None` if the earliest event is later than `deadline`.
     pub fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let (list, at) = self.front()?;
-        (at <= deadline).then(|| self.pop_front(list, at))
-    }
-
-    /// Pops the earliest entry, given what [`EventQueue::front`] returned.
-    #[inline]
-    fn pop_front(&mut self, list: usize, at: SimTime) -> (SimTime, E) {
-        if list != 0 {
-            // Move the reference point to the global minimum and refile
-            // the one list that held it. Everything in that list agrees
-            // with the new `last` above the list's own digit, so it lands
-            // in list 0 or a strictly lower level, in its old order.
-            self.last = at;
-            let mut idx = self.heads[list];
-            self.clear_list(list);
-            while idx != NIL {
-                let next = self.slab[idx as usize].next;
-                self.link(idx);
-                idx = next;
-            }
+        let mut radix = self.front();
+        let lane = self.lane.front().map(|&(at, seq, _)| (at, seq));
+        let at = match (radix, lane) {
+            (None, None) => return None,
+            (Some((_, at)), None) | (None, Some((at, _))) => at,
+            (Some((_, radix_at)), Some((lane_at, _))) => radix_at.min(lane_at),
+        };
+        if at > deadline {
+            return None;
         }
-        let idx = self.heads[0];
-        self.heads[0] = self.slab[idx as usize].next;
+        let from_lane = match (radix, lane) {
+            (Some((list, radix_at)), Some((lane_at, seq))) if radix_at == lane_at => {
+                // A tie in time: the radix front's first entry at `at` is
+                // the head of list 0 once its list is settled.
+                self.settle(list, at);
+                radix = Some((0, at));
+                seq < self.slab[self.heads[0] as usize].seq
+            }
+            (Some((_, radix_at)), Some((lane_at, _))) => lane_at < radix_at,
+            (radix, _) => radix.is_none(),
+        };
         // The one place `now` can move backwards — and only after the
         // exploration driver ran it ahead with `advance_clock`.
         self.now = at;
-        (at, self.release(idx))
+        if from_lane {
+            self.len -= 1;
+            return self.lane.pop_front().map(|(at, _, event)| (at, event));
+        }
+        let (list, _) = radix.expect("the radix lists hold the front");
+        self.settle(list, at);
+        let idx = self.heads[0];
+        self.heads[0] = self.slab[idx as usize].next;
+        Some((at, self.release(idx)))
+    }
+
+    /// Makes list 0 hold the radix front, given what
+    /// [`EventQueue::front`] returned: moves the reference point to the
+    /// global minimum `at` and refiles the one list that held it.
+    /// Everything in that list agrees with the new `last` above the
+    /// list's own digit, so it lands in list 0 or a strictly lower level,
+    /// in its old order.
+    #[inline]
+    fn settle(&mut self, list: usize, at: SimTime) {
+        if list == 0 {
+            return;
+        }
+        self.last = at;
+        let mut idx = self.heads[list];
+        self.clear_list(list);
+        while idx != NIL {
+            let next = self.slab[idx as usize].next;
+            self.link(idx);
+            idx = next;
+        }
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.front().map(|(_, at)| at)
+        let radix = self.front().map(|(_, at)| at);
+        let lane = self.lane.front().map(|&(at, ..)| at);
+        radix.into_iter().chain(lane).min()
     }
 
     /// The next event (the one [`EventQueue::pop`] would return) without
-    /// removing it. Walks the front list to its first minimum, so unlike
-    /// [`EventQueue::peek_time`] it is not O(1).
+    /// removing it. Walks the front radix list to its first minimum, so
+    /// unlike [`EventQueue::peek_time`] it is not O(1).
     pub fn peek(&self) -> Option<(SimTime, &E)> {
-        let (list, at) = self.front()?;
-        let mut idx = self.heads[list];
-        while self.slab[idx as usize].at != at {
-            idx = self.slab[idx as usize].next;
-        }
-        self.slab[idx as usize].event.as_ref().map(|event| (at, event))
+        let radix = self.front().map(|(list, at)| {
+            let mut idx = self.heads[list];
+            while self.slab[idx as usize].at != at {
+                idx = self.slab[idx as usize].next;
+            }
+            let slot = &self.slab[idx as usize];
+            (at, slot.seq, slot.event.as_ref().expect("a linked slot holds an event"))
+        });
+        let lane = self.lane.front().map(|(at, seq, event)| (*at, *seq, event));
+        let (at, _, event) = match (radix, lane) {
+            (Some(radix), Some(lane)) => {
+                if (lane.0, lane.1) < (radix.0, radix.1) {
+                    lane
+                } else {
+                    radix
+                }
+            }
+            (radix, lane) => radix.or(lane)?,
+        };
+        Some((at, event))
     }
 
     // --- exploration hooks ------------------------------------------------
@@ -325,6 +401,14 @@ impl<E> EventQueue<E> {
             let Some(event) = &slot.event else { continue };
             if pred(event) && best.is_none_or(|(at, seq, _)| (slot.at, slot.seq) < (at, seq)) {
                 best = Some((slot.at, slot.seq, idx));
+            }
+        }
+        // The lane is sorted, so its first match is its earliest.
+        if let Some(pos) = self.lane.iter().position(|(_, _, event)| pred(event)) {
+            let (at, seq, _) = self.lane[pos];
+            if best.is_none_or(|(best_at, best_seq, _)| (at, seq) < (best_at, best_seq)) {
+                self.len -= 1;
+                return self.lane.remove(pos).map(|(at, _, event)| (at, event));
             }
         }
         let (at, _, idx) = best?;
@@ -381,16 +465,19 @@ impl<E> EventQueue<E> {
     }
 
     /// Iterates over every pending event with its timestamp and sequence
-    /// number, in unspecified (slab) order.
+    /// number, in unspecified (slab, then lane) order.
     ///
     /// Like [`EventQueue::iter`] but exposing the FIFO tie-break key, so
     /// state canonicalization can order same-instant events exactly as
     /// [`EventQueue::pop`] would deliver them.
     pub fn entries(&self) -> impl Iterator<Item = (SimTime, u64, &E)> + '_ {
-        self.slab.iter().filter_map(|s| s.event.as_ref().map(|event| (s.at, s.seq, event)))
+        let linked =
+            self.slab.iter().filter_map(|s| s.event.as_ref().map(|event| (s.at, s.seq, event)));
+        linked.chain(self.lane.iter().map(|(at, seq, event)| (*at, *seq, event)))
     }
 
-    /// Iterates over every pending event in unspecified (slab) order.
+    /// Iterates over every pending event in unspecified (slab, then lane)
+    /// order.
     ///
     /// This is an inspection hook for state-machine auditing — e.g.
     /// `World::check_invariants` cross-checks per-flood in-flight counts
@@ -426,9 +513,11 @@ impl<E> EventQueue<E> {
     /// inconsistency found: every linked slot is in the list its
     /// timestamp selects, same-instant neighbours are in sequence order,
     /// each list's tail and tracked minimum and both bit masks are exact,
-    /// linked and vacant slots partition the slab, and `len` counts the
-    /// linked ones. Read-only and O(slab); `World::try_check_invariants`
-    /// calls it beside the topology and scheduler-queue audits.
+    /// linked and vacant slots partition the slab, the sorted lane is
+    /// strictly ascending by `(time, seq)` and never below the radix
+    /// reference, and `len` counts the linked slots plus the lane.
+    /// Read-only and O(slab + lane); `World::try_check_invariants` calls
+    /// it beside the topology and scheduler-queue audits.
     pub fn validate(&self) -> Result<(), String> {
         if self.now < self.last {
             return Err(format!("clock {} is behind the radix reference {}", self.now, self.last));
@@ -517,8 +606,25 @@ impl<E> EventQueue<E> {
                 self.slab.len()
             ));
         }
-        if linked != self.len {
-            return Err(format!("len is {}, {linked} slots are linked", self.len));
+        let mut prev: Option<(SimTime, u64)> = None;
+        for (i, &(at, seq, _)) in self.lane.iter().enumerate() {
+            if at < self.last {
+                return Err(format!(
+                    "lane entry {i} at {at} is below the radix reference {}",
+                    self.last
+                ));
+            }
+            if prev.is_some_and(|prev| prev >= (at, seq)) {
+                return Err(format!("lane entry {i} at {at} (seq {seq}) is out of order"));
+            }
+            prev = Some((at, seq));
+        }
+        if linked + self.lane.len() != self.len {
+            return Err(format!(
+                "len is {}, {linked} slots are linked and the lane holds {}",
+                self.len,
+                self.lane.len()
+            ));
         }
         Ok(())
     }
@@ -808,14 +914,92 @@ mod tests {
     fn reserve_counts_vacant_slots() {
         let mut q = EventQueue::new();
         for i in 0..8 {
-            q.schedule(SimTime::ZERO, i);
+            q.schedule_sorted(SimTime::ZERO, i);
         }
         while q.pop().is_some() {}
-        let before = q.slab.capacity();
+        let before = q.lane.capacity();
         q.reserve(8);
-        assert_eq!(q.slab.capacity(), before, "eight vacant slots already cover the request");
+        assert_eq!(q.lane.capacity(), before, "eight vacant lane slots already cover the request");
         q.reserve(before + 1);
-        assert!(q.slab.capacity() > before);
+        assert!(q.lane.capacity() > before);
+        assert!(q.slab.is_empty(), "sorted schedules never touch the slab");
+    }
+
+    #[test]
+    fn sorted_lane_interleaves_with_the_radix_lists_by_time_then_seq() {
+        // Lane and radix entries at the same instant come out in
+        // scheduling order, whichever structure holds them.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), "r0");
+        q.schedule_sorted(SimTime::from_secs(1), "l0");
+        q.schedule_sorted(SimTime::from_secs(2), "l1");
+        q.schedule(SimTime::from_secs(2), "r1");
+        q.schedule_sorted(SimTime::from_secs(2), "l2");
+        q.schedule(SimTime::from_secs(1), "r2");
+        q.schedule_sorted(SimTime::from_secs(3), "l3");
+        assert_eq!((q.len(), q.lane.len()), (7, 4));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.peek(), Some((SimTime::from_secs(1), &"l0")));
+        let mut order = Vec::new();
+        while let Some((_, e)) = q.pop() {
+            q.validate().unwrap();
+            order.push(e);
+        }
+        assert_eq!(order, ["l0", "r2", "r0", "l1", "r1", "l2", "l3"]);
+        assert_eq!(q.peak_len(), 7);
+    }
+
+    #[test]
+    fn out_of_order_sorted_schedules_fall_back_to_the_radix_lists() {
+        let mut q = EventQueue::new();
+        q.schedule_sorted(SimTime::from_secs(5), 'b');
+        q.schedule_sorted(SimTime::from_secs(4), 'a'); // below the tail
+        q.schedule_sorted(SimTime::from_secs(5), 'c'); // equal to the tail
+        assert_eq!(q.lane.len(), 2);
+        q.validate().unwrap();
+        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ['a', 'b', 'c']);
+        assert_eq!(q.clamped_count(), 0);
+    }
+
+    #[test]
+    fn exploration_hooks_see_the_lane() {
+        let mut q = EventQueue::new();
+        q.schedule_sorted(SimTime::from_secs(1), 1);
+        q.schedule(SimTime::from_secs(1), 2);
+        q.schedule_sorted(SimTime::from_secs(2), 3);
+        let mut seen: Vec<(SimTime, u64, i32)> = q.entries().map(|(t, s, &e)| (t, s, e)).collect();
+        seen.sort();
+        assert_eq!(seen.iter().map(|&(.., e)| e).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(q.remove_where(|&e| e != 2), Some((SimTime::from_secs(1), 1)));
+        assert_eq!(q.remove_where(|&e| e == 3), Some((SimTime::from_secs(2), 3)));
+        assert_eq!(q.remove_where(|&e| e == 3), None);
+        assert_eq!((q.len(), q.now()), (1, SimTime::ZERO));
+        q.validate().unwrap();
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 2)));
+    }
+
+    #[test]
+    fn pop_due_leaves_a_tied_lane_and_radix_front_untouched() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(3), 'r');
+        q.schedule_sorted(SimTime::from_secs(3), 'l');
+        assert_eq!(q.pop_due(SimTime::from_secs(2)), None);
+        q.validate().unwrap();
+        assert_eq!(q.pop_due(SimTime::from_secs(3)), Some((SimTime::from_secs(3), 'r')));
+        assert_eq!(q.pop_due(SimTime::from_secs(3)), Some((SimTime::from_secs(3), 'l')));
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn past_sorted_schedules_are_clamped_and_counted() {
+        let mut q = EventQueue::new();
+        q.schedule_sorted(SimTime::from_secs(10), 'a');
+        q.pop();
+        q.schedule_sorted(SimTime::from_secs(3), 'b');
+        assert_eq!((q.clamped_count(), q.lane.len()), (1, 0));
+        q.validate().unwrap();
+        assert_eq!(q.pop(), Some((SimTime::from_secs(10), 'b')));
     }
 
     #[test]
@@ -886,5 +1070,33 @@ mod tests {
         broken.pop();
         broken.free = NIL;
         assert!(broken.validate().unwrap_err().contains("do not cover"));
+    }
+
+    #[test]
+    fn validate_names_a_corrupted_lane() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(2), 'a');
+        q.schedule_sorted(SimTime::from_secs(3), 'b');
+        q.schedule_sorted(SimTime::from_secs(4), 'c');
+        q.validate().unwrap();
+
+        let mut broken = q.clone();
+        broken.lane.swap(0, 1);
+        assert!(broken.validate().unwrap_err().contains("out of order"));
+
+        // Same instant, sequence numbers reversed.
+        let mut broken = q.clone();
+        broken.lane[1].0 = broken.lane[0].0;
+        broken.lane[0].1 = broken.lane[1].1 + 1;
+        assert!(broken.validate().unwrap_err().contains("out of order"));
+
+        let mut broken = q.clone();
+        broken.pop();
+        broken.lane[0].0 = SimTime::from_secs(1);
+        assert!(broken.validate().unwrap_err().contains("below the radix reference"));
+
+        let mut broken = q;
+        broken.lane.pop_back();
+        assert!(broken.validate().unwrap_err().contains("the lane holds 1"));
     }
 }
