@@ -270,7 +270,8 @@ fn main() {
     };
     println!(
         "aria-cluster: nodes={} jobs={} completed={} retransmits={} injected_drops={} \
-         lost_events={} peer_dead={} peer_rejoined={} max_rss_kb={} trace={}",
+         lost_events={} peer_dead={} peer_rejoined={} max_rss_kb={} wakeups={} \
+         wakeups_per_node_s={:.1} trace={}",
         spec.nodes,
         jobs.len(),
         outcome.completed.len(),
@@ -280,6 +281,8 @@ fn main() {
         outcome.peer_dead_events,
         outcome.peer_rejoined_events,
         outcome.max_node_rss_kb,
+        outcome.node_wakeups,
+        outcome.wakeups_per_node_sec(),
         outcome.merged_path.display(),
     );
     if let Err(violation) = outcome.check_conservation(&jobs) {

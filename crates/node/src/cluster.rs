@@ -129,6 +129,13 @@ pub struct ClusterOutcome {
     /// Highest per-node peak RSS (VmHWM) sampled before shutdown, in
     /// KiB; 0 where /proc is unavailable or every node was killed.
     pub max_node_rss_kb: u64,
+    /// Times the nodes blocked and were woken (`voluntary_ctxt_switches`),
+    /// summed over every incarnation, each sampled where VmHWM is: before
+    /// its kill or before shutdown. 0 where /proc is unavailable.
+    pub node_wakeups: u64,
+    /// The wall-clock seconds `node_wakeups` covers: every sampled
+    /// incarnation's life from spawn to its sample.
+    pub node_secs: f64,
 }
 
 impl ClusterOutcome {
@@ -153,6 +160,16 @@ impl ClusterOutcome {
             }
         }
         Ok(())
+    }
+
+    /// Node wakeups per node-second of sampled life; 0 where /proc is
+    /// unavailable.
+    pub fn wakeups_per_node_sec(&self) -> f64 {
+        if self.node_secs > 0.0 {
+            self.node_wakeups as f64 / self.node_secs
+        } else {
+            0.0
+        }
     }
 
     /// The liveness oracle: every submitted job was reported complete,
@@ -232,20 +249,19 @@ fn dur(d: SimDuration) -> Duration {
 
 /// Owns a spawned node process and kills it on drop, so a harness panic
 /// or early return reaps the whole cluster instead of leaking children.
-struct ChildGuard(Child);
+struct ChildGuard {
+    child: Child,
+    spawned: Instant,
+}
 
 impl ChildGuard {
     fn kill_now(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 
     fn has_exited(&mut self) -> bool {
-        matches!(self.0.try_wait(), Ok(Some(_)))
-    }
-
-    fn pid(&self) -> u32 {
-        self.0.id()
+        matches!(self.child.try_wait(), Ok(Some(_)))
     }
 }
 
@@ -255,12 +271,34 @@ impl Drop for ChildGuard {
     }
 }
 
-/// Peak RSS (VmHWM) of a process in KiB, from /proc; `None` off Linux
-/// or once the process is gone.
-fn peak_rss_kb(pid: u32) -> Option<u64> {
+/// The number in a `/proc/<pid>/status` field (`VmHWM` in KiB,
+/// `voluntary_ctxt_switches`, …); `None` off Linux or once the process
+/// is gone.
+fn status_field(pid: u32, field: &str) -> Option<u64> {
     let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let line = status.lines().find(|l| l.split(':').next() == Some(field))?;
     line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// What `/proc` says about the node processes, accumulated over the run.
+#[derive(Default)]
+struct NodeSamples {
+    max_rss_kb: u64,
+    wakeups: u64,
+    secs: f64,
+}
+
+impl NodeSamples {
+    /// Samples one live incarnation; call it once per incarnation, just
+    /// before it is killed or shut down.
+    fn sample(&mut self, node: &ChildGuard) {
+        let pid = node.child.id();
+        self.max_rss_kb = self.max_rss_kb.max(status_field(pid, "VmHWM").unwrap_or(0));
+        if let Some(wakeups) = status_field(pid, "voluntary_ctxt_switches") {
+            self.wakeups += wakeups;
+            self.secs += node.spawned.elapsed().as_secs_f64();
+        }
+    }
 }
 
 /// How long trace collection waits for any single node's final file
@@ -399,13 +437,14 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
     };
     let spawn = |config: &NodeConfig, config_path: &Path| -> io::Result<ChildGuard> {
         std::fs::write(config_path, config.to_toml())?;
-        Ok(ChildGuard(
-            Command::new(&spec.node_binary)
+        Ok(ChildGuard {
+            child: Command::new(&spec.node_binary)
                 .arg(config_path)
                 .stdout(Stdio::null())
                 .stderr(Stdio::null())
                 .spawn()?,
-        ))
+            spawned: Instant::now(),
+        })
     };
 
     let mut children: Vec<ChildGuard> = Vec::with_capacity(spec.nodes as usize);
@@ -460,7 +499,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
     let mut next_submit = 0usize;
     let mut completed: BTreeMap<JobId, NodeId> = BTreeMap::new();
     let mut latencies: BTreeMap<JobId, Duration> = BTreeMap::new();
-    let mut max_node_rss_kb: u64 = 0;
+    let mut samples = NodeSamples::default();
     let mut buf = vec![0u8; 64 * 1024];
     report.set_read_timeout(Some(Duration::from_millis(20)))?;
     while (completed.len() < workload.len()
@@ -472,8 +511,7 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
             match churn[churn_next].action {
                 ChurnAction::Kill(victim) => {
                     // Sample the high-water mark before the process goes.
-                    let pid = children[victim as usize].pid();
-                    max_node_rss_kb = max_node_rss_kb.max(peak_rss_kb(pid).unwrap_or(0));
+                    samples.sample(&children[victim as usize]);
                     children[victim as usize].kill_now();
                 }
                 ChurnAction::Restart(node) => {
@@ -507,12 +545,12 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
         }
     }
 
-    // Memory high-water sample of everything still running, then shut
-    // down; retry the datagram until the child exits in case a copy is
-    // lost, then escalate to kill so the harness always terminates
-    // inside its budget.
+    // Sample everything still running, then shut down; retry the
+    // datagram until the child exits in case a copy is lost, then
+    // escalate to kill so the harness always terminates inside its
+    // budget.
     for child in &children {
-        max_node_rss_kb = max_node_rss_kb.max(peak_rss_kb(child.pid()).unwrap_or(0));
+        samples.sample(child);
     }
     for (i, child) in children.iter_mut().enumerate() {
         let target: std::net::SocketAddr = node_addrs[i].parse().unwrap();
@@ -586,6 +624,8 @@ pub fn run_cluster(spec: &ClusterSpec) -> io::Result<ClusterOutcome> {
         lost_events,
         peer_dead_events,
         peer_rejoined_events,
-        max_node_rss_kb,
+        max_node_rss_kb: samples.max_rss_kb,
+        node_wakeups: samples.wakeups,
+        node_secs: samples.secs,
     })
 }

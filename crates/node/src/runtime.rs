@@ -25,11 +25,18 @@
 //! applies strictly to protocol messages; harness control frames
 //! (`Submit`, `Shutdown`) are never dropped.
 //!
-//! When tracing is on, every probe event is appended (and flushed) to
-//! `<trace>.part` as it happens, so a SIGKILLed node still leaves its
-//! events on disk for the chaos harness. That stream is the node's only
-//! record: a clean shutdown writes the final `<trace>` as the header
-//! line followed by the streamed lines, and removes the partial.
+//! The loop sleeps until its next timer, not on a fixed tick: each
+//! receive waits for 8/9 of the time left to the earliest deadline (see
+//! `read_timeout`), and with no timer armed it blocks until a datagram
+//! arrives (`Shutdown` is one). An idle node therefore wakes for its
+//! timers and its inbound frames, and for nothing else.
+//!
+//! When tracing is on, every probe event is appended to `<trace>.part`
+//! as it happens, one `write(2)` per line, so a SIGKILLed node still
+//! leaves its events on disk, each line whole, for the chaos harness.
+//! That stream is the node's only record: a clean shutdown writes the
+//! final `<trace>` as the header line followed by the streamed lines,
+//! and removes the partial.
 
 use crate::config::NodeConfig;
 use crate::timer::TimerWheel;
@@ -60,10 +67,23 @@ pub struct RunReport {
     pub probe_events: u64,
 }
 
-/// Maximum blocking-receive timeout; also the idle tick when no timer
-/// is armed, keeping the loop responsive to shutdown.
-const MAX_POLL_MS: u64 = 50;
-const MAX_POLL: Duration = Duration::from_millis(MAX_POLL_MS);
+/// How long the next blocking receive may wait at `now`: `None` (block
+/// until a datagram arrives) when no timer is armed, else ⌊8/9⌋ of the
+/// time left to `next_deadline`, and never less than 1 ms (a zero read
+/// timeout is an error).
+///
+/// The read timeout is `SO_RCVTIMEO`, which runs on the kernel's jiffy
+/// timer wheel; above the wheel's first level a timeout can fire up to
+/// 1/8 of itself late. Waiting 8/9 of the time left means even such a
+/// late wake comes before the deadline, and the following turns close
+/// the gap geometrically: a 1 s timer takes at most 5 waits (on-time
+/// wakes; late ones need fewer), where a fixed 50 ms tick took 20.
+fn read_timeout(now: SimTime, next_deadline: Option<SimTime>) -> Option<Duration> {
+    next_deadline.map(|at| {
+        let left = at.saturating_since(now).as_millis();
+        Duration::from_millis((left.saturating_mul(8) / 9).max(1))
+    })
+}
 
 /// Runs a node until a `Shutdown` frame arrives. Returns the report
 /// after flushing the probe trace (if configured).
@@ -139,14 +159,7 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
             )?;
         }
 
-        let timeout = match wheel.next_deadline() {
-            Some(at) => {
-                let wait = at.saturating_since(now).as_millis();
-                Duration::from_millis(wait.clamp(1, MAX_POLL_MS))
-            }
-            None => MAX_POLL,
-        };
-        socket.set_read_timeout(Some(timeout))?;
+        socket.set_read_timeout(read_timeout(now, wheel.next_deadline()))?;
         let (len, src) = match socket.recv_from(&mut buf) {
             Ok(got) => got,
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
@@ -214,9 +227,9 @@ pub fn run(config: &NodeConfig) -> io::Result<RunReport> {
     Ok(report)
 }
 
-/// Counts probe events and, when tracing is on, streams each one
-/// (flushed per line) to `<trace>.part` so a SIGKILL still leaves the
-/// node's history on disk for the chaos harness.
+/// Counts probe events and, when tracing is on, streams each one to
+/// `<trace>.part` with a single unbuffered write per line, so a SIGKILL
+/// still leaves the node's history on disk for the chaos harness.
 struct Tracer {
     /// The final trace path and the open `.part` stream beside it.
     stream: Option<(String, File)>,
@@ -235,11 +248,13 @@ impl Tracer {
     fn record(&mut self, now: SimTime, event: ProbeEvent) {
         if let Some((_, file)) = &mut self.stream {
             let entry = TraceEntry { seq: self.seq, at: now, event };
-            // Flushed per line: a buffered partial would lose exactly
-            // the pre-kill events the chaos harness needs.
-            let line = schema::entry_line(&entry);
-            let _ = writeln!(file, "{line}");
-            let _ = file.flush();
+            // One write per line, newline included: a buffered partial
+            // would lose exactly the pre-kill events the chaos harness
+            // needs, and a split write could leave a line without its
+            // newline.
+            let mut line = schema::entry_line(&entry);
+            line.push('\n');
+            let _ = file.write_all(line.as_bytes());
         }
         self.seq += 1;
     }
@@ -325,12 +340,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("node.jsonl").to_string_lossy().into_owned();
         let mut tracer = Tracer::open(Some(&path)).unwrap();
+        let read_part = || std::fs::read_to_string(format!("{path}.part")).unwrap();
+        // Every record is on disk, newline included, as soon as it returns.
+        tracer.record(SimTime::ZERO, ProbeEvent::JobLost { job: JobId::new(0) });
+        assert_eq!(read_part().split_inclusive('\n').filter(|l| l.ends_with('\n')).count(), 1);
         // More events than any fixed-size ring would keep.
         let events = 70_000u64;
-        for i in 0..events {
+        for i in 1..events {
             tracer.record(SimTime::from_millis(i / 3), ProbeEvent::JobLost { job: JobId::new(i) });
         }
-        let streamed = std::fs::read_to_string(format!("{path}.part")).unwrap();
+        let streamed = read_part();
+        assert!(streamed.ends_with('\n'), "the last line is whole");
+        assert_eq!(streamed.matches('\n').count() as u64, events, "one line per record");
         let meta = TraceMeta { scenario: "live-node".to_string(), seed: 9, nodes: 4, jobs: 0 };
         tracer.finish(&meta).unwrap();
 
@@ -344,5 +365,35 @@ mod tests {
             assert_eq!(*line, schema::entry_line(entry), "entry {} differs", entry.seq);
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_timeout_wakes_before_a_deadline_even_when_the_kernel_is_late() {
+        let now = SimTime::from_millis(7);
+        assert_eq!(read_timeout(now, None), None, "no timer armed: block until a datagram");
+        // Deadlines already due still wait the minimum, never zero.
+        assert_eq!(read_timeout(now, Some(SimTime::ZERO)), Some(Duration::from_millis(1)));
+        let lefts = (0..5_000).chain([9_999, 60_000, 3_600_000, u64::MAX / 2, u64::MAX - 7]);
+        for left in lefts {
+            let t = read_timeout(now, Some(SimTime::from_millis(7 + left)))
+                .expect("an armed timer bounds the wait");
+            let left = Duration::from_millis(left);
+            assert!(t >= Duration::from_millis(1), "{left:?} left: the wait is never zero");
+            assert!(t <= left.max(Duration::from_millis(1)), "{left:?} left: waited {t:?}");
+            if left >= Duration::from_millis(9) {
+                // A timeout that fires 1/8 of itself late still wakes
+                // the loop by the deadline.
+                assert!(t + t / 8 <= left, "{left:?} left: {t:?} plus slack overshoots");
+            }
+        }
+        // On-time wakes close a 1 s gap in at most 5 waits.
+        let at = SimTime::from_millis(1_000);
+        let (mut now, mut waits) = (SimTime::ZERO, 0);
+        while now < at {
+            let t = read_timeout(now, Some(at)).expect("an armed timer bounds the wait");
+            now = SimTime::from_millis(now.as_millis() + u64::try_from(t.as_millis()).unwrap());
+            waits += 1;
+        }
+        assert_eq!(waits, 5);
     }
 }
